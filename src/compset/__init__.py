@@ -48,8 +48,10 @@ from .errors import (
 )
 from .losses import (
     ClassifierWeights,
+    FixedColumns,
     Grads,
     Hyperparams,
+    fixed_columns,
     loss_cls,
     loss_cmp,
     loss_rcmp,

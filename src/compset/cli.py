@@ -475,10 +475,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except CompsetError as e:
+    except (OSError, CompsetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,13 @@ Gradients are analytic throughout, including the chain through the
 replacement attention (optionally stopped); the test-suite checks every
 path against central differences.  Only W and the primitive blocks receive
 gradients; feature maps are constants.
+
+A column of the two composition heads is *fixed* when nothing it depends
+on can train: its block is masked and, for the replaced head, so is every
+one of its donors.  Fixed columns enter only the softmax normaliser; only
+the live columns are replaced, scored and backpropagated.  A caller that
+reuses one batch under one mask (an incremental session) computes the
+fixed columns once with `fixed_columns` and hands them back in.
 """
 
 from __future__ import annotations
@@ -187,32 +194,59 @@ def _scores_with_class_errors(X3, Zstack, alpha, class_ids):
         ) from None
 
 
-def _cmp_core(X3, label_idx, Zstack, tau, alpha, want_grad, class_ids):
-    """Composition-score cross entropy; gradient with respect to Zstack."""
-    scores, prod, num, a, b, Xc, Zc = _scores_with_class_errors(X3, Zstack, alpha, class_ids)
+def _ids(bank: PrimitiveBank, mask: np.ndarray) -> list[int]:
+    return [c for c, m in zip(bank.class_ids, mask) if m]
+
+
+def _head_core(X3, label_idx, Zlive, live, fixed, tau, alpha, live_ids, want_grad):
+    """Cross entropy of one composition head over all of its columns.
+
+    Only the live columns (blocks Zlive, registered as live_ids) are scored
+    here; the fixed ones arrive as scores and enter only the softmax
+    normaliser.  Returns the loss and d(loss)/d(Zlive), or None for the
+    gradient when it is not wanted or no column is live.
+    """
+    scores = np.empty((X3.shape[0], len(live)))
+    scores[:, ~live] = fixed
+    if not live.any():
+        return _ce_rows(tau * scores, label_idx)[0], None
+    internals = _scores_with_class_errors(X3, Zlive, alpha, live_ids)
+    scores[:, live] = internals[0]
     loss, dlogit = _ce_rows(tau * scores, label_idx)
     if not want_grad:
         return loss, None
-    return loss, _score_grad_wrt_blocks(prod, num, a, b, Xc, Zc, tau * dlogit)
+    return loss, _score_grad_wrt_blocks(*internals[1:], tau * dlogit[:, live])
+
+
+def _cmp_core(X3, label_idx, bank, live, fixed, tau, alpha, want_grad):
+    """Composition-score cross entropy; gradient with respect to the live
+    blocks."""
+    return _head_core(
+        X3, label_idx, bank.Z[live], live, fixed, tau, alpha, _ids(bank, live), want_grad
+    )
 
 
 def _replacement_backward(bank, rb: ReplacedBank, dZhat, gamma, stop_attention_grad):
-    """Scatter d(loss)/d(Z_hat) back to the raw bank blocks.
+    """Scatter d(loss)/d(Z_hat) of the classes in rb back to the raw bank
+    blocks.
 
     Z_hat_i = sum_k att_ik D_k with att = softmax_k(-gamma ||P_i - D_k||^2)
     over that class's donors D; P are the class's own primitives.  The
     direct path moves gradient to the donors; unless stopped, the attention
-    path moves it to both the donors and the class's own block.
+    path moves it to both the donors and the class's own block.  A class
+    left out of rb must be fixed: everything it would reach is masked.
     """
     cnum, npr, d = bank.Z.shape
     dZ = np.zeros((cnum, npr, d))
     flatZ = bank.Z.reshape(cnum * npr, d)
     flat_out = dZ.reshape(cnum * npr, d)
-    for i in range(cnum):
-        att = rb.attention[i]  # (N, M)
-        idx = rb.donor_rows[i]  # (M,)
+    pos = {c: i for i, c in enumerate(bank.class_ids)}
+    for j, c in enumerate(rb.class_ids):
+        i = pos[c]
+        att = rb.attention[j]  # (N, M)
+        idx = rb.donor_rows[j]  # (M,)
         donors = flatZ[idx]
-        g = dZhat[i]  # (N, d)
+        g = dZhat[j]  # (N, d)
         contrib = att.T @ g
         if not stop_attention_grad:
             u = g @ donors.T  # (N, M): dL/d att
@@ -225,18 +259,85 @@ def _replacement_backward(bank, rb: ReplacedBank, dZhat, gamma, stop_attention_g
     return dZ
 
 
-def _rcmp_core(X3, label_idx, bank, donor_map, tau, alpha, gamma, stop_attention_grad, want_grad):
-    """Replaced-composition cross entropy; the replaced sets are rebuilt
-    from the current bank on every call."""
-    rb = build_replaced(bank, donor_map, gamma)
-    scores, prod, num, a, b, Xc, Zc = _scores_with_class_errors(
-        X3, rb.Z_hat, alpha, bank.class_ids
+def _rcmp_core(
+    X3, label_idx, bank, donor_map, live, fixed, tau, alpha, gamma, stop_attention_grad, want_grad
+):
+    """Replaced-composition cross entropy; the live columns' replaced sets
+    are rebuilt from the current bank on every call."""
+    rb = build_replaced(bank, donor_map, gamma, _ids(bank, live))
+    loss, dZhat = _head_core(
+        X3, label_idx, rb.Z_hat, live, fixed, tau, alpha, rb.class_ids, want_grad
     )
-    loss, dlogit = _ce_rows(tau * scores, label_idx)
-    if not want_grad:
+    if dZhat is None:
         return loss, None
-    dZhat = _score_grad_wrt_blocks(prod, num, a, b, Xc, Zc, tau * dlogit)
     return loss, _replacement_backward(bank, rb, dZhat, gamma, stop_attention_grad)
+
+
+def _replaced_live(bank: PrimitiveBank, donor_map, tz: np.ndarray) -> np.ndarray:
+    """Replaced-head columns that can move: the block or one of its donors
+    is trainable."""
+    trains = set(_ids(bank, tz))
+    return np.array(
+        [bool(t) or any(dc in trains for dc in donor_map.get(c) or ())
+         for c, t in zip(bank.class_ids, tz)],
+        dtype=bool,
+    )
+
+
+def _fixed_scores(X3, Zstack, alpha, class_ids) -> np.ndarray:
+    if not class_ids:
+        return np.empty((X3.shape[0], 0))
+    return _scores_with_class_errors(X3, Zstack, alpha, class_ids)[0]
+
+
+def _fixed_columns(X3, bank, donor_map, hp: Hyperparams, tz):
+    """(live replaced columns, fixed cmp scores, fixed rcmp scores); a head
+    whose loss weight is 0 gets None."""
+    live_rcmp = _replaced_live(bank, donor_map, tz)
+    cmp = rcmp = None
+    if hp.lambda1 != 0.0:
+        cmp = _fixed_scores(X3, bank.Z[~tz], hp.alpha, _ids(bank, ~tz))
+    if hp.lambda2 != 0.0:
+        rb = build_replaced(bank, donor_map, hp.gamma, _ids(bank, ~live_rcmp))
+        rcmp = _fixed_scores(X3, rb.Z_hat, hp.alpha, rb.class_ids)
+    return live_rcmp, cmp, rcmp
+
+
+def _donor_lists(donor_map) -> dict:
+    return {c: tuple(donors) for c, donors in donor_map.items()}
+
+
+@dataclass(frozen=True, eq=False)
+class FixedColumns:
+    """Scores of one batch's fixed columns under one trainable mask.
+
+    Made by `fixed_columns` and handed to `total_loss_and_grad`, which
+    checks that the batch, registry, mask, frozen blocks, donors, alpha and
+    gamma are still the ones recorded here.
+    """
+
+    live_rcmp: np.ndarray  # (C,) bool: replaced-head columns that can move
+    cmp: np.ndarray | None  # (B, #fixed): composition scores; None when lambda1 == 0
+    rcmp: np.ndarray | None  # (B, #fixed): replaced scores; None when lambda2 == 0
+    maps: np.ndarray
+    trainable_z: np.ndarray
+    frozen_blocks: np.ndarray  # bank.Z[~trainable_z]
+    class_ids: tuple[int, ...]
+    donor_map: dict[int, tuple[int, ...]]
+    alpha: float
+    gamma: float
+
+    def matches(self, X3, bank: PrimitiveBank, donor_map, hp: Hyperparams, tz) -> bool:
+        return (
+            tuple(bank.class_ids) == self.class_ids
+            and np.array_equal(tz, self.trainable_z)
+            and (self.cmp is not None or hp.lambda1 == 0.0)
+            and (self.rcmp is not None or hp.lambda2 == 0.0)
+            and (hp.alpha, hp.gamma) == (self.alpha, self.gamma)
+            and _donor_lists(donor_map) == self.donor_map
+            and np.array_equal(X3, self.maps)
+            and np.array_equal(bank.Z[~tz], self.frozen_blocks)
+        )
 
 
 def _check_registry(bank: PrimitiveBank, weights: ClassifierWeights | None):
@@ -261,8 +362,9 @@ def loss_cmp(fmap: FeatureMap, bank: PrimitiveBank, tau: float = 16.0, alpha: fl
     if not tau > 0:
         raise InvalidInput("tau must be positive")
     X3, labels = _stack([fmap])
+    live = np.ones(bank.n_classes, dtype=bool)
     loss, _ = _cmp_core(
-        X3, _label_columns(labels, bank.class_ids), bank.Z, tau, alpha, False, bank.class_ids
+        X3, _label_columns(labels, bank.class_ids), bank, live, np.empty((1, 0)), tau, alpha, False
     )
     return loss
 
@@ -279,13 +381,63 @@ def loss_rcmp(
     if not tau > 0:
         raise InvalidInput("tau must be positive")
     X3, labels = _stack([fmap])
+    live = np.ones(bank.n_classes, dtype=bool)
     loss, _ = _rcmp_core(
-        X3, _label_columns(labels, bank.class_ids), bank, donor_map, tau, alpha, gamma, False, False
+        X3, _label_columns(labels, bank.class_ids), bank, donor_map, live, np.empty((1, 0)),
+        tau, alpha, gamma, False, False,
     )
     return loss
 
 
 # ------------------------------ batch total -------------------------------
+
+
+def _checked_maps(batch, bank: PrimitiveBank) -> tuple[np.ndarray, np.ndarray]:
+    X3, labels = _stack(batch)
+    if X3.shape[2] != bank.channels:
+        raise InvalidInput("batch channels disagree with the bank")
+    if not np.all(np.isfinite(X3)):
+        raise InvalidInput("batch contains non-finite values")
+    return X3, labels
+
+
+def _trainable_z(bank: PrimitiveBank, trainable_z) -> np.ndarray:
+    tz = ~bank.frozen if trainable_z is None else np.asarray(trainable_z, dtype=bool)
+    if len(tz) != bank.n_classes:
+        raise InvalidInput("trainable masks have the wrong length")
+    return tz
+
+
+def fixed_columns(
+    batch,
+    bank: PrimitiveBank,
+    donor_map: dict[int, list[int]],
+    hp: Hyperparams,
+    trainable_z: np.ndarray | None = None,
+) -> FixedColumns:
+    """Score the fixed columns of a batch once, for every total_loss_and_grad
+    call on the same batch, bank, donors, settings and trainable_z.
+
+    Within an incremental session they cannot change: their blocks are
+    frozen, their donors are frozen base classes and every epoch uses the
+    same shots.
+    """
+    hp.validate()
+    X3, _ = _checked_maps(batch, bank)
+    tz = _trainable_z(bank, trainable_z)
+    live_rcmp, cmp, rcmp = _fixed_columns(X3, bank, donor_map, hp, tz)
+    return FixedColumns(
+        live_rcmp=live_rcmp,
+        cmp=cmp,
+        rcmp=rcmp,
+        maps=X3.copy(),
+        trainable_z=tz.copy(),
+        frozen_blocks=bank.Z[~tz],
+        class_ids=tuple(bank.class_ids),
+        donor_map=_donor_lists(donor_map),
+        alpha=hp.alpha,
+        gamma=hp.gamma,
+    )
 
 
 def total_loss_and_grad(
@@ -297,27 +449,34 @@ def total_loss_and_grad(
     include_cls: bool = True,
     trainable_z: np.ndarray | None = None,
     trainable_w: np.ndarray | None = None,
+    fixed: FixedColumns | None = None,
 ) -> tuple[float, Grads]:
     """Batch-mean total loss and its gradients, masked to the trainables.
 
     trainable_z / trainable_w default to the unfrozen blocks and rows;
-    frozen parameters receive exactly-zero gradient.
+    frozen parameters receive exactly-zero gradient.  Only the live columns
+    of the two composition heads are scored and backpropagated; the fixed
+    ones come from `fixed` when it is given (InvalidInput if it was made
+    from another batch, bank, mask or settings) and are scored here
+    otherwise.
     """
     hp.validate()
     _check_registry(bank, weights)
-    X3, labels = _stack(batch)
-    if X3.shape[2] != bank.channels:
-        raise InvalidInput("batch channels disagree with the bank")
-    if not np.all(np.isfinite(X3)):
-        raise InvalidInput("batch contains non-finite values")
+    X3, labels = _checked_maps(batch, bank)
     label_idx = _label_columns(labels, bank.class_ids)
 
-    tz = ~bank.frozen if trainable_z is None else np.asarray(trainable_z, dtype=bool)
+    tz = _trainable_z(bank, trainable_z)
     tw = ~weights.frozen if trainable_w is None else np.asarray(trainable_w, dtype=bool)
-    if len(tz) != bank.n_classes or len(tw) != len(weights.class_ids):
+    if len(tw) != len(weights.class_ids):
         raise InvalidInput("trainable masks have the wrong length")
     if not (tz.any() or (include_cls and tw.any())):
         raise InvalidInput("nothing to train: every parameter is masked")
+    if fixed is None:
+        live_rcmp, fixed_cmp, fixed_rcmp = _fixed_columns(X3, bank, donor_map, hp, tz)
+    elif fixed.matches(X3, bank, donor_map, hp, tz):
+        live_rcmp, fixed_cmp, fixed_rcmp = fixed.live_rcmp, fixed.cmp, fixed.rcmp
+    else:
+        raise InvalidInput("fixed columns were made from another batch, bank, mask or settings")
 
     total = 0.0
     dW = np.zeros_like(weights.W)
@@ -327,16 +486,18 @@ def total_loss_and_grad(
         total += loss
         dW += g
     if hp.lambda1 != 0.0:
-        loss, g = _cmp_core(X3, label_idx, bank.Z, hp.tau, hp.alpha, True, bank.class_ids)
+        loss, g = _cmp_core(X3, label_idx, bank, tz, fixed_cmp, hp.tau, hp.alpha, True)
         total += hp.lambda1 * loss
-        dZ += hp.lambda1 * g
+        if g is not None:
+            dZ[tz] += hp.lambda1 * g
     if hp.lambda2 != 0.0:
         loss, g = _rcmp_core(
-            X3, label_idx, bank, donor_map, hp.tau, hp.alpha, hp.gamma,
+            X3, label_idx, bank, donor_map, live_rcmp, fixed_rcmp, hp.tau, hp.alpha, hp.gamma,
             hp.stop_attention_grad, True,
         )
         total += hp.lambda2 * loss
-        dZ += hp.lambda2 * g
+        if g is not None:
+            dZ += hp.lambda2 * g
     dW[~tw] = 0.0
     dZ[~tz] = 0.0
     return total, Grads(dW=dW, dZ=dZ)

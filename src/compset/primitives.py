@@ -247,20 +247,25 @@ def attention_replace(
     return att @ rows, att
 
 
-def build_replaced(bank: PrimitiveBank, donor_map: dict[int, list[int]], gamma: float) -> ReplacedBank:
-    """Attention-replace every class in the bank per its donor list.
-
-    Distances are computed once on the flattened bank and sliced per class.
+def build_replaced(
+    bank: PrimitiveBank, donor_map: dict[int, list[int]], gamma: float, classes=None
+) -> ReplacedBank:
+    """Attention-replace every class in the bank, or only the registered
+    `classes`, per its donor list; the result follows bank order.
     """
     if not gamma > 0.0:
         raise InvalidInput("gamma must be positive")
     cnum, npr, d = bank.Z.shape
     flat = bank.Z.reshape(cnum * npr, d)
-    start = {c: bank.index_of(c) * npr for c in bank.class_ids}
-    z_hat = np.empty_like(bank.Z)
+    start = {c: i * npr for i, c in enumerate(bank.class_ids)}
+    targets = list(bank.class_ids) if classes is None else sorted(int(c) for c in classes)
+    unknown = [c for c in targets if c not in start]
+    if unknown:
+        raise InvalidInput(f"classes not registered: {unknown}")
+    z_hat = np.empty((len(targets), npr, d))
     atts: list[np.ndarray] = []
     donor_rows: list[np.ndarray] = []
-    for i, c in enumerate(bank.class_ids):
+    for j, c in enumerate(targets):
         donors = donor_map.get(c)
         if not donors:
             raise InvalidInput(f"class {c} has no donors")
@@ -274,11 +279,11 @@ def build_replaced(bank: PrimitiveBank, donor_map: dict[int, list[int]], gamma: 
         idx = np.concatenate(
             [np.arange(start[dc], start[dc] + npr) for dc in sorted(donors)]
         )
-        att = _attention_weights(bank.Z[i], flat[idx], gamma)
-        z_hat[i] = att @ flat[idx]
+        att = _attention_weights(flat[start[c] : start[c] + npr], flat[idx], gamma)
+        z_hat[j] = att @ flat[idx]
         atts.append(att)
         donor_rows.append(idx)
-    return ReplacedBank(list(bank.class_ids), z_hat, atts, donor_rows)
+    return ReplacedBank(targets, z_hat, atts, donor_rows)
 
 
 def hard_nearest_replace(

@@ -389,6 +389,9 @@ def reuse_retention_eval(
         bank_r = hard_nearest_replace(
             state.bank, sorted(novel_ids), state.base_class_ids, r, seed=sub_seed
         )
+        if r == 0.0:  # nothing was replaced
+            out.append(ReusePoint(ratio=r, novel_accuracy=original, retention=100.0))
+            continue
         st = ModelState(
             bank=bank_r,
             weights=state.weights,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import FeatureBatch, read_tensor, require_key, write_tensor
 from .errors import DegenerateInput, InsufficientData, InvalidInput
-from .losses import ClassifierWeights, Hyperparams, total_loss_and_grad
+from .losses import ClassifierWeights, Hyperparams, fixed_columns, total_loss_and_grad
 from .primitives import PrimitiveBank, extend_bank, init_primitive_bank
 from .seeding import substream
 
@@ -29,8 +29,6 @@ class OptimizerState:
 
     vW: np.ndarray
     vZ: np.ndarray
-    lr: float
-    momentum: float
 
 
 @dataclass
@@ -132,9 +130,7 @@ def train_base(train_batch: FeatureBatch, hp: Hyperparams) -> ModelState:
         np.zeros(len(class_ids), dtype=bool),
     )
     donor_map = donor_map_for(class_ids, class_ids)
-    opt = OptimizerState(
-        vW=np.zeros_like(weights.W), vZ=np.zeros_like(bank.Z), lr=hp.lr, momentum=hp.momentum
-    )
+    opt = OptimizerState(vW=np.zeros_like(weights.W), vZ=np.zeros_like(bank.Z))
     nsamples = len(train_batch)
     history: list[float] = []
     for epoch in range(hp.base_epochs):
@@ -144,8 +140,8 @@ def train_base(train_batch: FeatureBatch, hp: Hyperparams) -> ModelState:
             idx = order[start : start + hp.batch_size]
             sub = train_batch.subset(idx)
             loss, grads = total_loss_and_grad(sub, bank, weights, donor_map, hp)
-            weights.W, opt.vW = sgd_step(weights.W, grads.dW, opt.vW, opt.lr, opt.momentum)
-            bank.Z, opt.vZ = sgd_step(bank.Z, grads.dZ, opt.vZ, opt.lr, opt.momentum)
+            weights.W, opt.vW = sgd_step(weights.W, grads.dW, opt.vW, hp.lr, hp.momentum)
+            bank.Z, opt.vZ = sgd_step(bank.Z, grads.dZ, opt.vZ, hp.lr, hp.momentum)
             epoch_loss += loss * len(idx)
         history.append(epoch_loss / nsamples)
 
@@ -204,16 +200,17 @@ def train_incremental(state: ModelState, shots: FeatureBatch, hp: Hyperparams | 
     include_cls = hp.train_cls_in_incremental
     tw = ~weights.frozen if include_cls else np.zeros(len(weights.class_ids), dtype=bool)
 
-    opt = OptimizerState(
-        vW=np.zeros_like(weights.W), vZ=np.zeros_like(bank.Z), lr=hp.lr, momentum=hp.momentum
-    )
+    # the frozen classes' columns cannot change within the session: score them once
+    fixed = fixed_columns(shots, bank, donor_map, hp)
+    opt = OptimizerState(vW=np.zeros_like(weights.W), vZ=np.zeros_like(bank.Z))
     history: list[float] = []
     for _epoch in range(hp.inc_epochs):
         loss, grads = total_loss_and_grad(
-            shots, bank, weights, donor_map, hp, include_cls=include_cls, trainable_w=tw
+            shots, bank, weights, donor_map, hp, include_cls=include_cls, trainable_w=tw,
+            fixed=fixed,
         )
-        weights.W, opt.vW = sgd_step(weights.W, grads.dW, opt.vW, opt.lr, opt.momentum, mask=tw)
-        bank.Z, opt.vZ = sgd_step(bank.Z, grads.dZ, opt.vZ, opt.lr, opt.momentum, mask=~bank.frozen)
+        weights.W, opt.vW = sgd_step(weights.W, grads.dW, opt.vW, hp.lr, hp.momentum, mask=tw)
+        bank.Z, opt.vZ = sgd_step(bank.Z, grads.dZ, opt.vZ, hp.lr, hp.momentum, mask=~bank.frozen)
         history.append(loss)
 
     bank.frozen[:] = True

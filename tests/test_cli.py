@@ -129,6 +129,18 @@ class TestGen:
             again / "provenance.json"
         )
 
+    def test_config_that_is_a_directory_is_data_error(self, tmp_path, capsys):
+        rc = main(["gen", "--config", str(tmp_path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_seed_outside_32_bits_is_data_error(self, tmp_path, capsys):
+        rc = main(["gen", "--out", str(tmp_path / "x"), "--seed", str(2**32)])
+        assert rc == 2
+        assert "seed must be in [0, 2**32)" in capsys.readouterr().err
+
     def test_invalid_synth_setting_is_usage_error(self, tmp_path, capsys):
         rc = main(["gen", "--out", str(tmp_path / "x"), "--base-classes", "1"])
         assert rc == 1

@@ -1,3 +1,6 @@
+import zlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,18 +10,22 @@ from compset import (
     DegenerateSet,
     FeatureBatch,
     FeatureMap,
+    FixedColumns,
     Grads,
     Hyperparams,
     InvalidInput,
     PrimitiveBank,
     build_replaced,
     central_diff_grad,
+    fixed_columns,
     loss_cls,
     loss_cmp,
     loss_rcmp,
     total_loss_and_grad,
+    train_base,
 )
 from compset.losses import _replacement_backward, _score_grad_wrt_blocks
+from compset.seeding import seed_sequence
 from util import (
     cka_oracle,
     cosine_oracle,
@@ -27,6 +34,7 @@ from util import (
     random_batch,
     random_model,
     softmax_ce_oracle,
+    total_loss_and_grad_unsplit,
     unpack_params,
 )
 
@@ -59,6 +67,27 @@ class TestHyperparams:
         for kwargs in bad:
             with pytest.raises(InvalidInput):
                 Hyperparams(**kwargs).validate()
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [2**32, -1, 2**40])
+    def test_seed_outside_32_bits_rejected(self, seed):
+        with pytest.raises(InvalidInput, match="seed"):
+            seed_sequence(seed, "shuffle")
+        rng = np.random.default_rng(0)
+        batch = random_batch(rng, n_classes=3, batch=6, patches=5)
+        with pytest.raises(InvalidInput, match="seed"):
+            train_base(batch, Hyperparams(seed=seed, n_primitives=2, base_epochs=1))
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(InvalidInput, match="integer"):
+            seed_sequence(1.5)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+    def test_valid_seeds_keep_their_streams(self, seed):
+        want = np.random.SeedSequence([seed, zlib.crc32(b"init-kmeans"), zlib.crc32(b"3")])
+        got = seed_sequence(seed, "init-kmeans", 3)
+        assert got.generate_state(4).tolist() == want.generate_state(4).tolist()
 
 
 class TestClassifierWeights:
@@ -450,3 +479,112 @@ class TestTotalLossAndGrad:
         )
         with pytest.raises(InvalidInput, match="empty"):
             total_loss_and_grad(empty, bank, weights, full_donor_map([0, 1, 2]), Hyperparams())
+
+
+def _split_case(seed=30):
+    """Five classes, blocks 1 and 3 trainable; class 2 is frozen but has the
+    trainable donor 1, so it is fixed in the composition head and live in
+    the replaced head.  Classes 0 and 4 are fixed in both."""
+    rng = np.random.default_rng(seed)
+    bank, weights = random_model(rng, n_classes=5)
+    bank.frozen[:] = [True, False, True, False, True]
+    weights.frozen[:] = [True, False, True, True, False]
+    batch = random_batch(rng, n_classes=5, batch=6)
+    donors = {0: [2, 4], 1: [0, 2], 2: [1, 4], 3: [0, 4], 4: [0, 2]}
+    return batch, bank, weights, donors
+
+
+def _same_bits(a, b):
+    loss_a, g_a = a
+    loss_b, g_b = b
+    assert np.float64(loss_a).tobytes() == np.float64(loss_b).tobytes()
+    assert g_a.dW.tobytes() == g_b.dW.tobytes()
+    assert g_a.dZ.tobytes() == g_b.dZ.tobytes()
+
+
+class TestFixedColumns:
+    HP = Hyperparams(tau=8.0, alpha=0.8, gamma=4.0)
+
+    def test_live_columns(self):
+        batch, bank, _, donors = _split_case()
+        fixed = fixed_columns(batch, bank, donors, self.HP)
+        assert isinstance(fixed, FixedColumns)
+        assert fixed.live_rcmp.tolist() == [False, True, True, True, False]
+        assert fixed.cmp.shape == (6, 3)
+        assert fixed.rcmp.shape == (6, 2)
+
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_non_prefix_mask_matches_unsplit_bit_for_bit(self, stop):
+        batch, bank, weights, donors = _split_case()
+        hp = Hyperparams(tau=8.0, alpha=0.8, gamma=4.0, stop_attention_grad=stop)
+        split = total_loss_and_grad(batch, bank, weights, donors, hp)
+        _same_bits(split, total_loss_and_grad_unsplit(batch, bank, weights, donors, hp))
+        handed = total_loss_and_grad(
+            batch, bank, weights, donors, hp, fixed=fixed_columns(batch, bank, donors, hp)
+        )
+        _same_bits(split, handed)
+        assert np.any(split[1].dZ[1] != 0.0) and np.all(split[1].dZ[[0, 2, 4]] == 0.0)
+
+    def test_single_live_column_agrees_to_rounding(self):
+        # one live column is scored as a (B, 1) slice, which NumPy reduces in
+        # another order than a column of the full matrix: the split agrees
+        # with the unsplit arithmetic to rounding, not always bit for bit
+        rng = np.random.default_rng(12)
+        bank, weights = random_model(rng, n_classes=4)
+        bank.frozen[:] = [True, True, False, True]
+        weights.frozen[:] = [True, False, True, True]
+        batch = random_batch(rng, n_classes=4)
+        donors = full_donor_map(range(4))
+        loss, g = total_loss_and_grad(batch, bank, weights, donors, self.HP)
+        want_loss, want = total_loss_and_grad_unsplit(batch, bank, weights, donors, self.HP)
+        assert loss == pytest.approx(want_loss, rel=1e-13)
+        np.testing.assert_allclose(g.dZ, want.dZ, rtol=1e-11, atol=1e-14)
+        assert g.dW.tobytes() == want.dW.tobytes()
+
+    def test_every_column_fixed_still_scores_the_loss(self):
+        batch, bank, weights, donors = _split_case()
+        hp = self.HP
+        tz = np.zeros(5, dtype=bool)
+        loss, g = total_loss_and_grad(batch, bank, weights, donors, hp, trainable_z=tz)
+        want, _ = total_loss_and_grad_unsplit(batch, bank, weights, donors, hp, trainable_z=tz)
+        assert loss == want
+        assert np.all(g.dZ == 0.0)
+
+    def test_head_with_zero_weight_is_not_scored(self):
+        batch, bank, _, donors = _split_case()
+        fixed = fixed_columns(batch, bank, donors, Hyperparams(lambda1=0.0))
+        assert fixed.cmp is None and fixed.rcmp is not None
+
+    def test_cache_from_another_batch_rejected(self):
+        batch, bank, weights, donors = _split_case()
+        other = random_batch(np.random.default_rng(31), n_classes=5, batch=6)
+        fixed = fixed_columns(other, bank, donors, self.HP)
+        with pytest.raises(InvalidInput, match="fixed columns"):
+            total_loss_and_grad(batch, bank, weights, donors, self.HP, fixed=fixed)
+
+    @pytest.mark.parametrize("change", ["mask", "frozen block", "donors", "alpha", "lambda1"])
+    def test_cache_from_other_settings_rejected(self, change):
+        batch, bank, weights, donors = _split_case()
+        hp = Hyperparams(tau=8.0, alpha=0.8, gamma=4.0, lambda1=0.0)
+        fixed = fixed_columns(batch, bank, donors, hp)
+        kwargs = {}
+        if change == "mask":
+            kwargs["trainable_z"] = np.array([True, True, False, False, False])
+        elif change == "frozen block":
+            bank.Z[0, 0, 0] += 1.0
+        elif change == "donors":
+            donors = {**donors, 0: [4]}
+        else:
+            hp = replace(hp, **({"alpha": 0.7} if change == "alpha" else {"lambda1": 2.0}))
+        with pytest.raises(InvalidInput, match="fixed columns"):
+            total_loss_and_grad(batch, bank, weights, donors, hp, fixed=fixed, **kwargs)
+
+    def test_trainable_block_may_move(self):
+        # only the fixed columns are cached: a trained block changing is fine
+        batch, bank, weights, donors = _split_case()
+        fixed = fixed_columns(batch, bank, donors, self.HP)
+        bank.Z[1] += 0.25
+        _same_bits(
+            total_loss_and_grad(batch, bank, weights, donors, self.HP, fixed=fixed),
+            total_loss_and_grad(batch, bank, weights, donors, self.HP),
+        )

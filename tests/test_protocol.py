@@ -500,6 +500,22 @@ class TestReuseRetention:
         pts = reuse_retention_eval(state, ds.test, [0.0], seed=0)
         assert pts[0].retention == 100.0
 
+    def test_zero_ratio_is_exactly_100_where_the_quotient_rounds(self):
+        # 13 of 15 novel maps right: 100 * a / a is 100.00000000000001 here
+        st = perfect_state()
+        st.class_sessions = {0: 0, 1: 1, 2: 1}
+        Z = st.bank.Z
+        labels = [1] * 7 + [2] * 6 + [2] * 2
+        maps = [Z[1]] * 7 + [Z[2]] * 6 + [Z[1]] * 2
+        novel = FeatureBatch(
+            X=np.stack(maps), labels=labels, sessions=[1] * 15,
+            sample_ids=[f"n{i}" for i in range(15)],
+        )
+        pts = reuse_retention_eval(st, {1: novel}, [0.0])
+        assert pts[0].novel_accuracy == 100.0 * 13 / 15
+        assert 100.0 * pts[0].novel_accuracy / pts[0].novel_accuracy != 100.0
+        assert pts[0].retention == 100.0
+
     def test_retention_is_percent_of_unreplaced_accuracy(self, state, ds):
         pts = reuse_retention_eval(state, ds.test, [0.0, 0.5, 1.0], seed=0)
         original = pts[0].novel_accuracy

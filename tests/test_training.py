@@ -26,6 +26,7 @@ from compset.training import (
     donor_map_of,
     sgd_step,
 )
+from util import total_loss_and_grad_unsplit, train_incremental_oracle
 
 TRAIN_CFG = SynthConfig(
     pool_size=20,
@@ -340,6 +341,44 @@ class TestTrainIncremental:
         assert after.weights.W[4:].tobytes() == init_rows.tobytes()
         again = train_incremental(base_state, ds.train[1], replace(hp, inc_epochs=7))
         assert again.bank.Z.tobytes() == after.bank.Z.tobytes()
+
+
+class TestFixedColumnCache:
+    """train_incremental scores the frozen classes' columns once per session;
+    the loop that rescores them every epoch must give the same bits."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {},
+            {"stop_attention_grad": True},
+            {"lambda1": 0.0},
+            {"lambda2": 0.0},
+            {"train_cls_in_incremental": False},
+        ],
+        ids=["defaults", "stop_attention_grad", "lambda1_0", "lambda2_0", "no_cls"],
+    )
+    def test_matches_uncached_loop_bit_for_bit(self, base_state, ds, change):
+        hp = replace(TRAIN_HP, inc_epochs=6, **change)
+        mid = train_incremental(base_state, ds.train[1], hp)
+        for state, shots in ((base_state, ds.train[1]), (mid, ds.train[2])):
+            after = train_incremental(state, shots, hp)
+            Z, W, history = train_incremental_oracle(state, shots, hp)
+            assert after.bank.Z.tobytes() == Z.tobytes()
+            assert after.weights.W.tobytes() == W.tobytes()
+            assert after.loss_history[state.sessions_seen] == history
+
+    def test_matches_unsplit_loop_at_this_shape(self, base_state, ds):
+        # two new classes of six primitives: every column slice is reduced
+        # as the whole matrix is, so the split changes no bit here
+        hp = replace(TRAIN_HP, inc_epochs=6)
+        after = train_incremental(base_state, ds.train[1], hp)
+        Z, W, history = train_incremental_oracle(
+            base_state, ds.train[1], hp, loss_and_grad=total_loss_and_grad_unsplit
+        )
+        assert after.bank.Z.tobytes() == Z.tobytes()
+        assert after.weights.W.tobytes() == W.tobytes()
+        assert after.loss_history[1] == history
 
 
 class TestCheckpoint:

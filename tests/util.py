@@ -3,12 +3,26 @@
 The oracles here deliberately avoid the package's vectorized code paths:
 similarity goes through explicit projector/centering matrices, losses
 through per-sample, per-class scalar loops.  Tests compare the package
-against these.
+against these.  The two training references at the end are the loss and
+the incremental loop as they were before the fixed/live column split.
 """
 
 import numpy as np
 
-from compset import ClassifierWeights, FeatureBatch, PrimitiveBank
+from compset import (
+    ClassifierWeights,
+    FeatureBatch,
+    Grads,
+    PrimitiveBank,
+    build_replaced,
+    composition_scores_stack,
+    donor_map_for,
+    extend_bank,
+    sgd_step,
+    total_loss_and_grad,
+)
+from compset.losses import _ce_rows, _cls_core, _replacement_backward, _score_grad_wrt_blocks
+from compset.training import _mean_feature_rows
 
 
 def center_oracle(m: np.ndarray) -> np.ndarray:
@@ -124,3 +138,79 @@ def auc_score(pos: np.ndarray, neg: np.ndarray) -> float:
     neg = np.asarray(neg, dtype=np.float64)
     wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
     return float(wins / (len(pos) * len(neg)))
+
+
+def total_loss_and_grad_unsplit(
+    batch, bank, weights, donor_map, hp, include_cls=True, trainable_z=None, trainable_w=None
+):
+    """total_loss_and_grad as it was before the fixed/live column split:
+    every class is replaced, scored and backpropagated, then the frozen
+    gradients are zeroed.  Same arithmetic, so the split must match it bit
+    for bit wherever BLAS evaluates a column slice as it does the whole."""
+    X3 = np.asarray(batch.X, dtype=np.float64)
+    col = {c: i for i, c in enumerate(bank.class_ids)}
+    label_idx = np.array([col[int(y)] for y in batch.labels])
+    tz = ~bank.frozen if trainable_z is None else np.asarray(trainable_z, dtype=bool)
+    tw = ~weights.frozen if trainable_w is None else np.asarray(trainable_w, dtype=bool)
+
+    def head(Zstack):
+        scores, *internals = composition_scores_stack(X3, Zstack, hp.alpha, _return_internals=True)
+        loss, dlogit = _ce_rows(hp.tau * scores, label_idx)
+        return loss, _score_grad_wrt_blocks(*internals, hp.tau * dlogit)
+
+    total = 0.0
+    dW = np.zeros_like(weights.W)
+    dZ = np.zeros_like(bank.Z)
+    if include_cls:
+        loss, g = _cls_core(X3, label_idx, weights.W, hp.tau, True)
+        total += loss
+        dW += g
+    if hp.lambda1 != 0.0:
+        loss, g = head(bank.Z)
+        total += hp.lambda1 * loss
+        dZ += hp.lambda1 * g
+    if hp.lambda2 != 0.0:
+        rb = build_replaced(bank, donor_map, hp.gamma)
+        loss, g = head(rb.Z_hat)
+        total += hp.lambda2 * loss
+        dZ += hp.lambda2 * _replacement_backward(bank, rb, g, hp.gamma, hp.stop_attention_grad)
+    dW[~tw] = 0.0
+    dZ[~tz] = 0.0
+    return total, Grads(dW=dW, dZ=dZ)
+
+
+def train_incremental_oracle(state, shots, hp, loss_and_grad=total_loss_and_grad):
+    """train_incremental's per-epoch loop without the per-session
+    fixed-column cache: each epoch's loss call scores the fixed columns
+    afresh (or, with total_loss_and_grad_unsplit, every column).
+
+    Returns the session's (bank Z, classifier W, loss history).
+    """
+    X3 = np.asarray(shots.X, dtype=np.float64)
+    labels = np.asarray(shots.labels, dtype=np.int64)
+    new_ids = sorted(int(c) for c in set(labels.tolist()))
+    patches = {c: X3[labels == c].reshape(-1, X3.shape[2]) for c in new_ids}
+    bank = extend_bank(
+        state.bank, new_ids, patches_by_class=patches, scheme=hp.init_scheme, seed=hp.seed,
+        sigma=hp.init_sigma,
+    )
+    old = len(state.weights.class_ids)
+    weights = ClassifierWeights(
+        list(bank.class_ids),
+        np.concatenate([state.weights.W, _mean_feature_rows(X3, labels, new_ids)]),
+        np.arange(bank.n_classes) < old,
+    )
+    donor_map = donor_map_for(state.base_class_ids, bank.class_ids)
+    include_cls = hp.train_cls_in_incremental
+    tw = ~weights.frozen if include_cls else np.zeros(bank.n_classes, dtype=bool)
+    vW = np.zeros_like(weights.W)
+    vZ = np.zeros_like(bank.Z)
+    history = []
+    for _ in range(hp.inc_epochs):
+        loss, g = loss_and_grad(
+            shots, bank, weights, donor_map, hp, include_cls=include_cls, trainable_w=tw
+        )
+        weights.W, vW = sgd_step(weights.W, g.dW, vW, hp.lr, hp.momentum, mask=tw)
+        bank.Z, vZ = sgd_step(bank.Z, g.dZ, vZ, hp.lr, hp.momentum, mask=~bank.frozen)
+        history.append(loss)
+    return bank.Z, weights.W, history
