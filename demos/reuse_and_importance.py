@@ -15,7 +15,7 @@ from compset import (
     FeatureBatch,
     Hyperparams,
     SynthConfig,
-    attention_replace,
+    build_replaced,
     importance_filter_eval,
     retrieval_export,
     reuse_retention_eval,
@@ -44,9 +44,9 @@ full_test = FeatureBatch.concat([ds.test[k] for k in sorted(ds.test)])
 
 print("-- attention replacement: rebuild class 4 from base donors --")
 donors = state.classes_of_session(0)
-z_hat, att = attention_replace(state.bank, 4, donors, gamma=state.hp.gamma)
-print(f"replaced block shape {z_hat.shape}; attention rows (one per primitive):")
-for j, row in enumerate(att):
+replaced = build_replaced(state.bank, {4: donors}, gamma=state.hp.gamma, classes=[4])
+print(f"replaced block shape {replaced.block(4).shape}; attention rows (one per primitive):")
+for j, row in enumerate(replaced.attention[0]):
     print(f"  primitive {j}: max weight {row.max():.3f} on donor row {int(row.argmax())}")
 
 print()

@@ -1,6 +1,6 @@
 """A tour of the measurement layer: set similarity and its decompositions.
 
-Everything here operates on plain 2-D arrays (rows = patch features or
+Everything here operates on plain arrays (rows = patch features or
 primitive vectors, columns = channels); no training involved.
 
     python3 demos/similarity_tour.py
@@ -11,9 +11,10 @@ import numpy as np
 from compset import (
     allmatch_similarity,
     cka_rc,
-    composition_score,
+    composition_scores_stack,
     linear_cka,
-    match_decomposition,
+    match_weights,
+    patch_importance,
     power_transform,
 )
 
@@ -36,19 +37,21 @@ print(f"cka_rc(x.T, z.T) = {cka_rc(x.T, z.T):.6f}  (equals linear_cka(x, z))")
 
 print()
 print("-- decomposition: who contributed what --")
-dec = match_decomposition(x, z)
-print(f"match weights shape {dec.weights.shape}, importance shape {dec.importance.shape}")
-print(f"importances: {np.round(dec.importance, 4)}")
-print(f"sum of importances = {dec.importance.sum():.6f}  (the score again)")
+weights = match_weights(x, z)
+importance = patch_importance(x, z)
+print(f"match weights shape {weights.shape}, importance shape {importance.shape}")
+print(f"importances: {np.round(importance, 4)}")
+print(f"sum of importances = {importance.sum():.6f}  (the score again)")
 
 print()
 print("-- power transform flattens dominant activations --")
 spiky = np.array([[9.0, 0.1, 0.1, 0.1], [0.1, 9.0, 0.1, 0.1]])
 for alpha in (1.0, 0.5):
     print(f"alpha={alpha}: first row -> {np.round(power_transform(spiky, alpha)[0], 3)}")
-score = composition_score(spiky, rng.standard_normal((3, 4)), alpha=0.5, class_id=7)
-print(f"composition_score: value={score.value:.4f} class={score.class_id} "
-      f"({score.n_patches} patches vs {score.n_primitives} primitives)")
+blocks = rng.standard_normal((5, 3, 4))  # 5 classes of 3 primitives
+scores = composition_scores_stack(spiky[None], blocks, alpha=0.5)
+print(f"composition scores of the map against 5 classes (alpha=0.5): {np.round(scores[0], 4)}")
+print(f"class 2 by hand: {linear_cka(power_transform(spiky, 0.5), blocks[2]):.4f}")
 
 print()
 print("-- plain cosine comparators for contrast --")

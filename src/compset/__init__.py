@@ -9,16 +9,11 @@ reuse across classes.  See README.md for the tour.
 __version__ = "0.1.0"
 
 from .cka import (
-    CompositionScore,
-    FeatureMap,
-    MatchWeights,
     allmatch_similarity,
     center_rows,
     cka_rc,
-    composition_score,
     composition_scores_stack,
     linear_cka,
-    match_decomposition,
     match_weights,
     patch_importance,
     power_transform,
@@ -52,16 +47,12 @@ from .losses import (
     Grads,
     Hyperparams,
     fixed_columns,
-    loss_cls,
-    loss_cmp,
-    loss_rcmp,
     total_loss_and_grad,
 )
-from .numkit import central_diff_grad, frobenius_norm, stable_softmax
+from .numkit import central_diff_grad
 from .primitives import (
     PrimitiveBank,
     ReplacedBank,
-    attention_replace,
     build_replaced,
     extend_bank,
     hard_nearest_replace,

@@ -12,15 +12,16 @@ where Xc, Zc subtract each row's mean across channels.  The value lives in
 and is invariant to per-set isotropic scaling, to orthogonal mixing of the
 patch dimension, and to one channel permutation applied to both sets.
 
-The score decomposes into per-(patch, primitive) match weights and
-per-patch importances, both exposed below, alongside the plain all-match
-cosine comparators and the batch-dimension CKA used to compare two models'
-representations of a common batch.
+The score of a power-transformed map against every class block is one
+batched call, `composition_scores_stack`; training, evaluation and the
+benchmark all score through it.  The single-pair functions below are the
+readable reference and serve the analyses: per-(patch, primitive) match
+weights and per-patch importances that apportion the score exactly, the
+plain all-match cosine comparators, and the batch-dimension CKA used to
+compare two models' representations of a common batch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,21 +29,8 @@ from .errors import DegenerateInput, DegenerateSet, InvalidInput
 from .numkit import Matrix, as_matrix
 
 
-@dataclass
-class FeatureMap:
-    """One sample's patch features plus identity bookkeeping."""
-
-    X: np.ndarray
-    label: int
-    session_id: int = 0
-    sample_id: str = ""
-
-    def __post_init__(self):
-        self.X = as_matrix(self.X, "X")
-
-
 def _set_matrix(X, name: str) -> Matrix:
-    m = as_matrix(getattr(X, "X", X), name)
+    m = as_matrix(X, name)
     if m.shape[1] < 2:
         raise DegenerateInput(f"{name} needs at least 2 channels to center, got {m.shape[1]}")
     return m
@@ -99,46 +87,10 @@ def power_transform(X, alpha: float) -> Matrix:
     """
     if not 0.0 < alpha <= 1.0:
         raise InvalidInput(f"alpha must be in (0, 1], got {alpha}")
-    m = as_matrix(getattr(X, "X", X), "X")
+    m = as_matrix(X, "X")
     if alpha == 1.0:
         return m.copy()
     return np.sign(m) * np.abs(m) ** alpha
-
-
-@dataclass
-class CompositionScore:
-    """Similarity of one sample against one class's primitive set."""
-
-    value: float
-    class_id: int = -1
-    n_patches: int = 0
-    n_primitives: int = 0
-
-
-@dataclass
-class MatchWeights:
-    """Decomposition of a composition score.
-
-    weights[i, k] pairs patch i with primitive k; the weighted sum of
-    centered dot products reproduces the score exactly.  importance[i] is
-    patch i's nonnegative share of the score.
-    """
-
-    weights: np.ndarray
-    importance: np.ndarray
-
-
-def composition_score(X, Z, alpha: float = 1.0, class_id: int = -1) -> CompositionScore:
-    """Linear CKA of the power-transformed sample against a primitive set."""
-    Xt = power_transform(X, alpha)
-    val = linear_cka(Xt, Z)
-    Zm = getattr(Z, "X", Z)
-    return CompositionScore(
-        value=val,
-        class_id=class_id,
-        n_patches=Xt.shape[0],
-        n_primitives=np.asarray(Zm).shape[0],
-    )
 
 
 def match_weights(X, Z) -> np.ndarray:
@@ -150,11 +102,6 @@ def match_weights(X, Z) -> np.ndarray:
     """
     Xc, Zc, a, b = _centered_pair(X, Z)
     return (Xc @ Zc.T) / (a * b)
-
-
-def match_decomposition(X, Z) -> MatchWeights:
-    """Match weights and patch importances of one (sample, class) pair."""
-    return MatchWeights(weights=match_weights(X, Z), importance=patch_importance(X, Z))
 
 
 def patch_importance(X, Z) -> np.ndarray:
@@ -177,8 +124,8 @@ def allmatch_similarity(X, Z, mode: str = "mean") -> float:
     """
     if mode not in ("mean", "max"):
         raise InvalidInput(f"mode must be 'mean' or 'max', got {mode!r}")
-    Xm = as_matrix(getattr(X, "X", X), "X")
-    Zm = as_matrix(getattr(Z, "X", Z), "Z")
+    Xm = as_matrix(X, "X")
+    Zm = as_matrix(Z, "Z")
     if Xm.shape[1] != Zm.shape[1]:
         raise InvalidInput("channel mismatch between X and Z")
     xn = np.linalg.norm(Xm, axis=1)

@@ -33,6 +33,7 @@ from .data import (
     read_tensor,
     save_dataset,
     synth_generate,
+    write_atomic,
 )
 from .errors import CompsetError, InvalidInput
 from .losses import ClassifierWeights, Hyperparams
@@ -76,6 +77,16 @@ def _apply_section(obj, section: dict, where: str):
     return dataclasses.replace(obj, **section)
 
 
+def _flag_values(config_class, args) -> dict:
+    """The explicit flags named after config_class's fields (--seed sets
+    both configs' seed)."""
+    return {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(config_class)
+        if getattr(args, f.name, None) is not None
+    }
+
+
 def _build_config(args) -> tuple[Hyperparams, SynthConfig]:
     hp = Hyperparams()
     synth = SynthConfig()
@@ -101,30 +112,8 @@ def _build_config(args) -> tuple[Hyperparams, SynthConfig]:
             raise UsageError(f"config file: unknown sections {sorted(unknown)}")
         hp = _apply_section(hp, doc.get("hyperparams", {}), "config.hyperparams")
         synth = _apply_section(synth, doc.get("synth", {}), "config.synth")
-    overrides = {
-        "tau": "tau", "alpha": "alpha", "gamma": "gamma",
-        "lambda1": "lambda1", "lambda2": "lambda2",
-        "n_primitives": "n_primitives", "lr": "lr", "momentum": "momentum",
-        "base_epochs": "base_epochs", "inc_epochs": "inc_epochs",
-        "batch_size": "batch_size", "init_scheme": "init_scheme",
-    }
-    hp_updates = {
-        field: getattr(args, attr)
-        for attr, field in overrides.items()
-        if getattr(args, attr, None) is not None
-    }
-    synth_fields = {f.name for f in dataclasses.fields(SynthConfig)}
-    synth_updates = {
-        name: getattr(args, name)
-        for name in synth_fields
-        if getattr(args, name, None) is not None
-    }
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        hp_updates["seed"] = seed
-        synth_updates["seed"] = seed
-    hp = dataclasses.replace(hp, **hp_updates)
-    synth = dataclasses.replace(synth, **synth_updates)
+    hp = dataclasses.replace(hp, **_flag_values(Hyperparams, args))
+    synth = dataclasses.replace(synth, **_flag_values(SynthConfig, args))
     try:
         hp.validate()
         synth.validate()
@@ -152,14 +141,14 @@ def _provenance(command: str, args, hp: Hyperparams | None, synth: SynthConfig |
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "provenance.json").write_text(text)
+        write_atomic(outdir / "provenance.json", text)
     else:
         print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _data_dir(args) -> str:
@@ -247,7 +236,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out) if args.out else None
     if out is not None:
         _write_json(out / "report.json", report.to_json_dict())
-        (out / "report.txt").write_text(report.to_text() + "\n")
+        write_atomic(out / "report.txt", report.to_text() + "\n")
     _provenance("eval", args, state.hp, None, out)
     print(report.to_text())
     return 0
@@ -263,7 +252,7 @@ def cmd_sweep(args) -> int:
         {str(n): results[n].to_json_dict() for n in sorted(results)},
     )
     table = sweep_table(results)
-    (out / "sweep.txt").write_text(table + "\n")
+    write_atomic(out / "sweep.txt", table + "\n")
     _provenance("sweep", args, hp, ds.config, out)
     print(table)
     return 0
@@ -356,7 +345,6 @@ def cmd_bench(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, config: bool = True):
     p.add_argument("--seed", type=int, default=None, help="root seed (hyperparams and data)")
-    p.add_argument("--threads", type=int, default=1, help="execution threads (runs are sequential)")
     if config:
         p.add_argument("--preset", default=None, help=f"one of {sorted(PRESETS)}")
         p.add_argument("--config", default=None, help="JSON file with hyperparams/synth sections")

@@ -21,14 +21,13 @@ synthetic data) ground-truth annotations.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from .cka import FeatureMap
 from .errors import (
     BadMagic,
     BadVersion,
@@ -46,6 +45,19 @@ _CODE_OF_KIND = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 _MAX_NDIM = 32
 
 
+def write_atomic(path, payload: bytes | str) -> None:
+    """Give path its new contents all at once: write a sibling temp file,
+    then os.replace it over path.  A write that fails part-way leaves the
+    previous file byte-identical and no temp file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(payload.encode() if isinstance(payload, str) else payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_tensor(path, tensor) -> None:
     """Write a float32/float64 array to the binary container."""
     arr = np.ascontiguousarray(tensor)
@@ -59,7 +71,7 @@ def write_tensor(path, tensor) -> None:
     header = MAGIC + struct.pack("<III", VERSION, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     payload = arr.astype(_DTYPE_CODES[code], copy=False).tobytes(order="C")
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, header + payload)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -118,15 +130,6 @@ class FeatureBatch:
     def __len__(self) -> int:
         return self.X.shape[0]
 
-    def maps(self) -> Iterator[FeatureMap]:
-        for i in range(len(self)):
-            yield FeatureMap(
-                X=self.X[i],
-                label=int(self.labels[i]),
-                session_id=int(self.sessions[i]),
-                sample_id=self.sample_ids[i],
-            )
-
     def subset(self, idx) -> "FeatureBatch":
         idx = np.asarray(idx)
         if idx.dtype == bool:
@@ -151,20 +154,6 @@ class FeatureBatch:
             labels=np.concatenate([b.labels for b in batches]),
             sessions=np.concatenate([b.sessions for b in batches]),
             sample_ids=[s for b in batches for s in b.sample_ids],
-        )
-
-    @staticmethod
-    def from_maps(maps: list[FeatureMap]) -> "FeatureBatch":
-        if not maps:
-            raise InvalidInput("cannot build a batch from zero maps")
-        shapes = {m.X.shape for m in maps}
-        if len(shapes) != 1:
-            raise InvalidInput(f"maps disagree on shape: {sorted(shapes)}")
-        return FeatureBatch(
-            X=np.stack([m.X for m in maps]),
-            labels=np.array([m.label for m in maps]),
-            sessions=np.array([m.session_id for m in maps]),
-            sample_ids=[m.sample_id for m in maps],
         )
 
 
@@ -391,7 +380,7 @@ def save_dataset(ds: SynthDataset, outdir) -> Path:
         },
     }
     path = out / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=False) + "\n")
+    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=False) + "\n")
     return path
 
 

@@ -25,11 +25,11 @@ fixed columns once with `fixed_columns` and hands them back in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .cka import FeatureMap, composition_scores_stack
+from .cka import composition_scores_stack
+from .data import FeatureBatch
 from .errors import DegenerateInput, DegenerateSet, InvalidInput
 from .numkit import logsumexp_rows, softmax_rows
 from .primitives import PrimitiveBank, ReplacedBank, build_replaced
@@ -107,22 +107,6 @@ class Grads:
     dZ: np.ndarray  # (C, N, d)
 
 
-def _stack(batch) -> tuple[np.ndarray, np.ndarray]:
-    """(X3, labels) from a FeatureBatch or a sequence of FeatureMaps."""
-    if hasattr(batch, "X") and hasattr(batch, "labels"):
-        X3 = np.asarray(batch.X, dtype=np.float64)
-        if X3.shape[0] == 0:
-            raise InvalidInput("batch is empty")
-        return X3, np.asarray(batch.labels, dtype=np.int64)
-    maps: Sequence[FeatureMap] = batch
-    if len(maps) == 0:
-        raise InvalidInput("batch is empty")
-    return (
-        np.stack([np.asarray(m.X, dtype=np.float64) for m in maps]),
-        np.array([m.label for m in maps], dtype=np.int64),
-    )
-
-
 def _label_columns(labels: np.ndarray, class_ids: list[int]) -> np.ndarray:
     col = {c: i for i, c in enumerate(class_ids)}
     try:
@@ -140,7 +124,7 @@ def _ce_rows(logits: np.ndarray, label_idx: np.ndarray) -> tuple[float, np.ndarr
     return loss, p / b
 
 
-def _cls_core(X3, label_idx, W, tau, want_grad):
+def _cls_core(X3, label_idx, W, tau):
     """Cosine-head cross entropy; gradient with respect to W."""
     f = X3.mean(axis=1)
     fn = np.linalg.norm(f, axis=1)
@@ -153,8 +137,6 @@ def _cls_core(X3, label_idx, W, tau, want_grad):
     wh = W / wn[:, None]
     cos = fh @ wh.T
     loss, dlogit = _ce_rows(tau * cos, label_idx)
-    if not want_grad:
-        return loss, None
     dcos = tau * dlogit
     # d cos(f, w_c)/d w_c = (fh - cos * wh_c) / ||w_c||
     q = (dcos * cos).sum(axis=0)
@@ -198,13 +180,13 @@ def _ids(bank: PrimitiveBank, mask: np.ndarray) -> list[int]:
     return [c for c, m in zip(bank.class_ids, mask) if m]
 
 
-def _head_core(X3, label_idx, Zlive, live, fixed, tau, alpha, live_ids, want_grad):
+def _head_core(X3, label_idx, Zlive, live, fixed, tau, alpha, live_ids):
     """Cross entropy of one composition head over all of its columns.
 
     Only the live columns (blocks Zlive, registered as live_ids) are scored
     here; the fixed ones arrive as scores and enter only the softmax
     normaliser.  Returns the loss and d(loss)/d(Zlive), or None for the
-    gradient when it is not wanted or no column is live.
+    gradient when no column is live.
     """
     scores = np.empty((X3.shape[0], len(live)))
     scores[:, ~live] = fixed
@@ -213,17 +195,7 @@ def _head_core(X3, label_idx, Zlive, live, fixed, tau, alpha, live_ids, want_gra
     internals = _scores_with_class_errors(X3, Zlive, alpha, live_ids)
     scores[:, live] = internals[0]
     loss, dlogit = _ce_rows(tau * scores, label_idx)
-    if not want_grad:
-        return loss, None
     return loss, _score_grad_wrt_blocks(*internals[1:], tau * dlogit[:, live])
-
-
-def _cmp_core(X3, label_idx, bank, live, fixed, tau, alpha, want_grad):
-    """Composition-score cross entropy; gradient with respect to the live
-    blocks."""
-    return _head_core(
-        X3, label_idx, bank.Z[live], live, fixed, tau, alpha, _ids(bank, live), want_grad
-    )
 
 
 def _replacement_backward(bank, rb: ReplacedBank, dZhat, gamma, stop_attention_grad):
@@ -259,18 +231,14 @@ def _replacement_backward(bank, rb: ReplacedBank, dZhat, gamma, stop_attention_g
     return dZ
 
 
-def _rcmp_core(
-    X3, label_idx, bank, donor_map, live, fixed, tau, alpha, gamma, stop_attention_grad, want_grad
-):
+def _rcmp_core(X3, label_idx, bank, donor_map, live, fixed, hp: Hyperparams):
     """Replaced-composition cross entropy; the live columns' replaced sets
     are rebuilt from the current bank on every call."""
-    rb = build_replaced(bank, donor_map, gamma, _ids(bank, live))
-    loss, dZhat = _head_core(
-        X3, label_idx, rb.Z_hat, live, fixed, tau, alpha, rb.class_ids, want_grad
-    )
+    rb = build_replaced(bank, donor_map, hp.gamma, _ids(bank, live))
+    loss, dZhat = _head_core(X3, label_idx, rb.Z_hat, live, fixed, hp.tau, hp.alpha, rb.class_ids)
     if dZhat is None:
         return loss, None
-    return loss, _replacement_backward(bank, rb, dZhat, gamma, stop_attention_grad)
+    return loss, _replacement_backward(bank, rb, dZhat, hp.gamma, hp.stop_attention_grad)
 
 
 def _replaced_live(bank: PrimitiveBank, donor_map, tz: np.ndarray) -> np.ndarray:
@@ -345,60 +313,15 @@ def _check_registry(bank: PrimitiveBank, weights: ClassifierWeights | None):
         raise InvalidInput("bank and classifier register different classes")
 
 
-# --------------------------- public, per-sample ---------------------------
-
-
-def loss_cls(fmap: FeatureMap, weights: ClassifierWeights, tau: float = 16.0) -> float:
-    """Cross entropy of one sample under the cosine classifier head."""
-    if not tau > 0:
-        raise InvalidInput("tau must be positive")
-    X3, labels = _stack([fmap])
-    loss, _ = _cls_core(X3, _label_columns(labels, weights.class_ids), weights.W, tau, False)
-    return loss
-
-
-def loss_cmp(fmap: FeatureMap, bank: PrimitiveBank, tau: float = 16.0, alpha: float = 1.0) -> float:
-    """Cross entropy of one sample's composition scores over all classes."""
-    if not tau > 0:
-        raise InvalidInput("tau must be positive")
-    X3, labels = _stack([fmap])
-    live = np.ones(bank.n_classes, dtype=bool)
-    loss, _ = _cmp_core(
-        X3, _label_columns(labels, bank.class_ids), bank, live, np.empty((1, 0)), tau, alpha, False
-    )
-    return loss
-
-
-def loss_rcmp(
-    fmap: FeatureMap,
-    bank: PrimitiveBank,
-    donor_map: dict[int, list[int]],
-    tau: float = 16.0,
-    alpha: float = 1.0,
-    gamma: float = 64.0,
-) -> float:
-    """Cross entropy of one sample's scores on attention-replaced sets."""
-    if not tau > 0:
-        raise InvalidInput("tau must be positive")
-    X3, labels = _stack([fmap])
-    live = np.ones(bank.n_classes, dtype=bool)
-    loss, _ = _rcmp_core(
-        X3, _label_columns(labels, bank.class_ids), bank, donor_map, live, np.empty((1, 0)),
-        tau, alpha, gamma, False, False,
-    )
-    return loss
-
-
-# ------------------------------ batch total -------------------------------
-
-
-def _checked_maps(batch, bank: PrimitiveBank) -> tuple[np.ndarray, np.ndarray]:
-    X3, labels = _stack(batch)
+def _checked_maps(batch: FeatureBatch, bank: PrimitiveBank) -> tuple[np.ndarray, np.ndarray]:
+    X3 = np.asarray(batch.X, dtype=np.float64)
+    if X3.shape[0] == 0:
+        raise InvalidInput("batch is empty")
     if X3.shape[2] != bank.channels:
         raise InvalidInput("batch channels disagree with the bank")
     if not np.all(np.isfinite(X3)):
         raise InvalidInput("batch contains non-finite values")
-    return X3, labels
+    return X3, np.asarray(batch.labels, dtype=np.int64)
 
 
 def _trainable_z(bank: PrimitiveBank, trainable_z) -> np.ndarray:
@@ -409,7 +332,7 @@ def _trainable_z(bank: PrimitiveBank, trainable_z) -> np.ndarray:
 
 
 def fixed_columns(
-    batch,
+    batch: FeatureBatch,
     bank: PrimitiveBank,
     donor_map: dict[int, list[int]],
     hp: Hyperparams,
@@ -441,7 +364,7 @@ def fixed_columns(
 
 
 def total_loss_and_grad(
-    batch,
+    batch: FeatureBatch,
     bank: PrimitiveBank,
     weights: ClassifierWeights,
     donor_map: dict[int, list[int]],
@@ -482,19 +405,18 @@ def total_loss_and_grad(
     dW = np.zeros_like(weights.W)
     dZ = np.zeros_like(bank.Z)
     if include_cls:
-        loss, g = _cls_core(X3, label_idx, weights.W, hp.tau, True)
+        loss, g = _cls_core(X3, label_idx, weights.W, hp.tau)
         total += loss
         dW += g
     if hp.lambda1 != 0.0:
-        loss, g = _cmp_core(X3, label_idx, bank, tz, fixed_cmp, hp.tau, hp.alpha, True)
+        loss, g = _head_core(
+            X3, label_idx, bank.Z[tz], tz, fixed_cmp, hp.tau, hp.alpha, _ids(bank, tz)
+        )
         total += hp.lambda1 * loss
         if g is not None:
             dZ[tz] += hp.lambda1 * g
     if hp.lambda2 != 0.0:
-        loss, g = _rcmp_core(
-            X3, label_idx, bank, donor_map, live_rcmp, fixed_rcmp, hp.tau, hp.alpha, hp.gamma,
-            hp.stop_attention_grad, True,
-        )
+        loss, g = _rcmp_core(X3, label_idx, bank, donor_map, live_rcmp, fixed_rcmp, hp)
         total += hp.lambda2 * loss
         if g is not None:
             dZ += hp.lambda2 * g

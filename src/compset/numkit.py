@@ -28,30 +28,6 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     return m
 
 
-def frobenius_norm(m) -> float:
-    """Frobenius norm; zero iff the matrix is all zeros."""
-    return float(np.linalg.norm(as_matrix(m, "m")))
-
-
-def stable_softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    """softmax(temperature * logits) with max subtraction.
-
-    Exact for any finite logits; the max shift keeps exp() in range even at
-    the sharp temperatures used by the replacement attention.
-    """
-    v = np.asarray(logits, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInput("logits must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInput("logits must be finite")
-    if not temperature > 0.0:
-        raise InvalidInput("temperature must be positive")
-    z = temperature * v
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of a 2-D logit array."""
     z = logits - logits.max(axis=1, keepdims=True)

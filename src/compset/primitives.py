@@ -225,28 +225,6 @@ def _attention_weights(targets: np.ndarray, donors: np.ndarray, gamma: float) ->
     return softmax_rows(-gamma * sq)
 
 
-def attention_replace(
-    bank: PrimitiveBank, class_id: int, donor_classes, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replace one class's primitives by donor mixtures.
-
-    Returns (Z_hat of shape (N, d), attention of shape (N, M)).  Donor
-    columns follow bank order over the donor classes.
-    """
-    if not gamma > 0.0:
-        raise InvalidInput("gamma must be positive")
-    donors = [int(c) for c in donor_classes]
-    if not donors:
-        raise InvalidInput("donor pool is empty")
-    if class_id in donors:
-        raise InvalidInput(f"class {class_id} cannot donate to itself")
-    if len(set(donors)) != len(donors):
-        raise InvalidInput("duplicate donor classes")
-    rows = np.concatenate([bank.Z[bank.index_of(c)] for c in sorted(donors)], axis=0)
-    att = _attention_weights(bank.block(class_id), rows, gamma)
-    return att @ rows, att
-
-
 def build_replaced(
     bank: PrimitiveBank, donor_map: dict[int, list[int]], gamma: float, classes=None
 ) -> ReplacedBank:

@@ -127,10 +127,16 @@ def _safe_unit_rows(m: np.ndarray) -> np.ndarray:
 
 
 def score_matrix(state: ModelState, X3: np.ndarray, head: str = "composition") -> np.ndarray:
-    """(B, C) scores of every map against every registered class."""
+    """(B, C) scores of every map against every registered class.
+
+    Non-finite maps raise InvalidInput: one NaN would turn a whole score
+    row into NaN, which argmax reads as a vote for the first class.
+    """
     if head not in HEADS:
         raise InvalidInput(f"head must be one of {HEADS}, got {head!r}")
     X3 = np.asarray(X3, dtype=np.float64)
+    if not np.all(np.isfinite(X3)):
+        raise InvalidInput("maps contain non-finite values")
     if head == "composition":
         return composition_scores_stack(X3, state.bank.Z, state.hp.alpha, on_degenerate="zero")
     if head == "baseline":

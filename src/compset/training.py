@@ -16,9 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureBatch, read_tensor, require_key, write_tensor
+from .data import FeatureBatch, read_tensor, require_key, write_atomic, write_tensor
 from .errors import DegenerateInput, InsufficientData, InvalidInput
-from .losses import ClassifierWeights, Hyperparams, fixed_columns, total_loss_and_grad
+from .losses import (
+    ClassifierWeights,
+    FixedColumns,
+    Hyperparams,
+    fixed_columns,
+    total_loss_and_grad,
+)
 from .primitives import PrimitiveBank, extend_bank, init_primitive_bank
 from .seeding import substream
 
@@ -63,20 +69,20 @@ def donor_map_of(state: "ModelState") -> dict[int, list[int]]:
 def sgd_step(theta, grad, velocity, lr, momentum, mask=None):
     """One momentum-SGD update: v <- m v + g, theta <- theta - lr v.
 
-    Masked-out leading entries keep both theta and velocity bit-identical.
-    Returns (theta', velocity') as new arrays.
+    Only the leading rows that mask selects move (None: every row); the
+    others keep both theta and velocity bit-identical.  Returns
+    (theta', velocity') as new arrays.
     """
     theta = np.asarray(theta, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     velocity = np.asarray(velocity, dtype=np.float64)
-    if theta.shape != grad.shape or theta.shape != velocity.shape:
-        raise InvalidInput("theta, grad and velocity must share a shape")
+    if theta.ndim == 0 or theta.shape != grad.shape or theta.shape != velocity.shape:
+        raise InvalidInput("theta, grad and velocity must share a shape with leading rows")
     if not lr > 0 or not 0.0 <= momentum < 1.0:
         raise InvalidInput("need lr > 0 and momentum in [0, 1)")
-    if mask is None:
-        v = momentum * velocity + grad
-        return theta - lr * v, v
-    mask = np.asarray(mask, dtype=bool)
+    mask = np.ones(len(theta), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != theta.shape[:1]:
+        raise InvalidInput(f"mask selects from {mask.shape} rows, theta has {len(theta)}")
     t2 = theta.copy()
     v2 = velocity.copy()
     v2[mask] = momentum * velocity[mask] + grad[mask]
@@ -97,6 +103,45 @@ def _mean_feature_rows(X3: np.ndarray, labels: np.ndarray, class_ids) -> np.ndar
     if np.any(np.linalg.norm(rows, axis=1) == 0.0):
         raise DegenerateInput("a class's mean feature direction cancels to zero")
     return rows
+
+
+def _sgd_epochs(
+    bank: PrimitiveBank,
+    weights: ClassifierWeights,
+    donor_map: dict[int, list[int]],
+    hp: Hyperparams,
+    epochs,
+    trainable_w: np.ndarray | None = None,
+    include_cls: bool = True,
+    fixed: FixedColumns | None = None,
+) -> list[list[float]]:
+    """The momentum-SGD loop of every session, updating bank.Z and
+    weights.W in place.
+
+    epochs yields one sequence of batches per epoch; each batch takes one
+    step on the unfrozen blocks and the trainable_w rows (default: the
+    unfrozen ones).  Returns every epoch's batch losses in order.
+    """
+    tw = ~weights.frozen if trainable_w is None else trainable_w
+    opt = OptimizerState(vW=np.zeros_like(weights.W), vZ=np.zeros_like(bank.Z))
+    out = []
+    for batches in epochs:
+        out.append([])
+        for batch in batches:
+            loss, grads = total_loss_and_grad(
+                batch, bank, weights, donor_map, hp, include_cls=include_cls, trainable_w=tw,
+                fixed=fixed,
+            )
+            weights.W, opt.vW = sgd_step(weights.W, grads.dW, opt.vW, hp.lr, hp.momentum, tw)
+            bank.Z, opt.vZ = sgd_step(bank.Z, grads.dZ, opt.vZ, hp.lr, hp.momentum, ~bank.frozen)
+            out[-1].append(loss)
+    return out
+
+
+def _shuffled_minibatches(batch: FeatureBatch, hp: Hyperparams, epoch: int) -> list[FeatureBatch]:
+    order = substream(hp.seed, "shuffle", 0, epoch).permutation(len(batch))
+    step = hp.batch_size
+    return [batch.subset(order[lo : lo + step]) for lo in range(0, len(batch), step)]
 
 
 def train_base(train_batch: FeatureBatch, hp: Hyperparams) -> ModelState:
@@ -129,20 +174,14 @@ def train_base(train_batch: FeatureBatch, hp: Hyperparams) -> ModelState:
         _mean_feature_rows(X3, labels, class_ids),
         np.zeros(len(class_ids), dtype=bool),
     )
-    donor_map = donor_map_for(class_ids, class_ids)
-    opt = OptimizerState(vW=np.zeros_like(weights.W), vZ=np.zeros_like(bank.Z))
     nsamples = len(train_batch)
-    history: list[float] = []
-    for epoch in range(hp.base_epochs):
-        order = substream(hp.seed, "shuffle", 0, epoch).permutation(nsamples)
+    epochs = (_shuffled_minibatches(train_batch, hp, epoch) for epoch in range(hp.base_epochs))
+    sizes = [min(hp.batch_size, nsamples - lo) for lo in range(0, nsamples, hp.batch_size)]
+    history = []  # per epoch, sum(loss * n) / N accumulated in batch order
+    for losses in _sgd_epochs(bank, weights, donor_map_for(class_ids, class_ids), hp, epochs):
         epoch_loss = 0.0
-        for start in range(0, nsamples, hp.batch_size):
-            idx = order[start : start + hp.batch_size]
-            sub = train_batch.subset(idx)
-            loss, grads = total_loss_and_grad(sub, bank, weights, donor_map, hp)
-            weights.W, opt.vW = sgd_step(weights.W, grads.dW, opt.vW, hp.lr, hp.momentum)
-            bank.Z, opt.vZ = sgd_step(bank.Z, grads.dZ, opt.vZ, hp.lr, hp.momentum)
-            epoch_loss += loss * len(idx)
+        for loss, n in zip(losses, sizes):
+            epoch_loss += loss * n
         history.append(epoch_loss / nsamples)
 
     bank.frozen[:] = True
@@ -199,19 +238,16 @@ def train_incremental(state: ModelState, shots: FeatureBatch, hp: Hyperparams | 
     donor_map = donor_map_for(base_ids, list(bank.class_ids))
     include_cls = hp.train_cls_in_incremental
     tw = ~weights.frozen if include_cls else np.zeros(len(weights.class_ids), dtype=bool)
-
     # the frozen classes' columns cannot change within the session: score them once
     fixed = fixed_columns(shots, bank, donor_map, hp)
-    opt = OptimizerState(vW=np.zeros_like(weights.W), vZ=np.zeros_like(bank.Z))
-    history: list[float] = []
-    for _epoch in range(hp.inc_epochs):
-        loss, grads = total_loss_and_grad(
-            shots, bank, weights, donor_map, hp, include_cls=include_cls, trainable_w=tw,
-            fixed=fixed,
+    # one batch per epoch: record its loss itself, since (loss * n) / n is not always loss
+    history = [
+        loss
+        for (loss,) in _sgd_epochs(
+            bank, weights, donor_map, hp, [[shots]] * hp.inc_epochs,
+            trainable_w=tw, include_cls=include_cls, fixed=fixed,
         )
-        weights.W, opt.vW = sgd_step(weights.W, grads.dW, opt.vW, hp.lr, hp.momentum, mask=tw)
-        bank.Z, opt.vZ = sgd_step(bank.Z, grads.dZ, opt.vZ, hp.lr, hp.momentum, mask=~bank.frozen)
-        history.append(loss)
+    ]
 
     bank.frozen[:] = True
     weights.frozen[:] = True
@@ -253,7 +289,7 @@ def save_checkpoint(state: ModelState, directory) -> Path:
         "rng": {"root_seed": state.hp.seed},
     }
     path = out / CHECKPOINT_STATE
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -278,6 +314,12 @@ def load_checkpoint(directory) -> ModelState:
     hp.validate()
     Z = read_tensor(root / "bank.ckat").astype(np.float64)
     W = read_tensor(root / "weights.ckat").astype(np.float64)
+    if Z.ndim != 3 or Z.shape[1] != hp.n_primitives:
+        raise InvalidInput(f"{root}: bank.ckat has shape {Z.shape}, want (C, {hp.n_primitives}, d)")
+    if W.ndim != 2 or W.shape[1] != Z.shape[2]:
+        raise InvalidInput(
+            f"{root}: weights.ckat has shape {W.shape}, want (C, {Z.shape[2]}) to match bank.ckat"
+        )
     ids = [int(c) for c in require_key(doc, "class_ids", spath)]
     bank = PrimitiveBank(ids, Z, np.array(require_key(doc, "frozen_z", spath), dtype=bool))
     weights = ClassifierWeights(ids, W, np.array(require_key(doc, "frozen_w", spath), dtype=bool))
@@ -286,11 +328,14 @@ def load_checkpoint(directory) -> ModelState:
     }
     if sorted(class_sessions) != ids:
         raise InvalidInput(f"{spath}: class_sessions disagrees with class_ids")
+    sessions_seen = int(require_key(doc, "sessions_seen", spath))
+    if sessions_seen != 1 + max(class_sessions.values(), default=-1):
+        raise InvalidInput(f"{spath}: sessions_seen {sessions_seen} disagrees with class_sessions")
     return ModelState(
         bank=bank,
         weights=weights,
         hp=hp,
-        sessions_seen=int(require_key(doc, "sessions_seen", spath)),
+        sessions_seen=sessions_seen,
         class_sessions=class_sessions,
         loss_history={
             int(k): list(map(float, v)) for k, v in require_key(doc, "loss_history", spath).items()

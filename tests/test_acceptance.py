@@ -25,7 +25,7 @@ from compset import (
     TruncatedPayload,
     UnknownDtype,
     allmatch_similarity,
-    attention_replace,
+    build_replaced,
     center_rows,
     central_diff_grad,
     evaluate_sessions,
@@ -232,7 +232,8 @@ class TestReplacementContract:
                 z = np.concatenate([targets[None, :, :], donors])
             bank = PrimitiveBank([0, 1, 2, 3], z, np.zeros(4, bool))
             donor_rows = z[1:].reshape(-1, z.shape[2])
-            z_hat, att = attention_replace(bank, 0, [1, 2, 3], 64.0)
+            rb = build_replaced(bank, {0: [1, 2, 3]}, 64.0, classes=[0])
+            z_hat, att = rb.Z_hat[0], rb.attention[0]
             for j in range(z.shape[1]):
                 sq = ((donor_rows - z[0, j]) ** 2).sum(axis=1)
                 order = np.sort(sq)
@@ -245,7 +246,7 @@ class TestReplacementContract:
 class TestDeterminismContract:
     def test_freezing_and_same_seed_byte_identity(self, tmp_path):
         # prior-session parameters survive later sessions bit-for-bit,
-        # and a same-seed single-thread rerun reproduces every artifact
+        # and a same-seed rerun reproduces every artifact
         # byte-identically (provenance differs only in its timestamp)
         ds = synth_generate(SynthConfig(**MICRO["synth"]))
         hp = Hyperparams(**MICRO["hyperparams"])
@@ -277,7 +278,7 @@ class TestDeterminismContract:
                  "--out", str(dirs["rep"])],
             ]
             for argv in steps:
-                assert main(argv + ["--threads", "1"]) == 0
+                assert main(argv) == 0
 
         pipeline()
         first = {p: p.read_bytes() for d in dirs.values() for p in sorted(d.iterdir())}

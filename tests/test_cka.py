@@ -8,10 +8,8 @@ from compset import (
     allmatch_similarity,
     center_rows,
     cka_rc,
-    composition_score,
     composition_scores_stack,
     linear_cka,
-    match_decomposition,
     match_weights,
     patch_importance,
     power_transform,
@@ -129,29 +127,34 @@ class TestPowerTransform:
                 power_transform([[1.0, 2.0]], alpha)
 
 
+def pair_score(x, z, alpha):
+    """One (sample, class) composition score through the batched kernel."""
+    return float(composition_scores_stack(np.asarray(x)[None], np.asarray(z)[None], alpha)[0, 0])
+
+
 class TestCompositionScore:
     def test_alpha_one_is_plain_cka(self):
         rng = np.random.default_rng(10)
         x, z = random_pair(rng, n=5, big_n=4, d=6)
-        assert composition_score(x, z, alpha=1.0).value == pytest.approx(linear_cka(x, z), abs=1e-15)
+        assert pair_score(x, z, alpha=1.0) == pytest.approx(linear_cka(x, z), abs=1e-15)
 
     def test_binary_entries_unchanged_by_alpha(self):
         x = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         z = np.array([[1.0, 2.0, 3.0]])
-        assert composition_score(x, z, alpha=0.5).value == pytest.approx(
-            composition_score(x, z, alpha=1.0).value, abs=1e-15
+        assert pair_score(x, z, alpha=0.5) == pytest.approx(
+            pair_score(x, z, alpha=1.0), abs=1e-15
         )
 
     def test_hand_value_after_transform(self):
-        assert abs(composition_score([[4.0, 0.0], [0.0, 4.0]], [[2.0, 0.0]], alpha=0.5).value - 1.0) <= 1e-12
+        assert abs(pair_score([[4.0, 0.0], [0.0, 4.0]], [[2.0, 0.0]], alpha=0.5) - 1.0) <= 1e-12
 
     def test_scale_compensation_identity(self):
         # scaling X by c^(1/alpha) multiplies the transformed map by c, which CKA ignores
         rng = np.random.default_rng(11)
         x, z = random_pair(rng, n=4, big_n=3, d=7)
         alpha, c = 0.8, 3.7
-        a = composition_score(x, z, alpha=alpha).value
-        b = composition_score(c ** (1 / alpha) * x, z, alpha=alpha).value
+        a = pair_score(x, z, alpha=alpha)
+        b = pair_score(c ** (1 / alpha) * x, z, alpha=alpha)
         assert abs(a - b) <= 1e-9
 
 
@@ -197,13 +200,6 @@ class TestDecomposition:
         x = np.array([[2.0, 0.0, -2.0], [1.0, -2.0, 1.0]])  # second row orthogonal to z after centering
         imp = patch_importance(x, z)
         assert imp[1] == pytest.approx(0.0, abs=1e-15)
-
-    def test_decomposition_bundle(self):
-        rng = np.random.default_rng(15)
-        x, z = random_pair(rng, n=3, big_n=2, d=5)
-        mw = match_decomposition(x, z)
-        np.testing.assert_array_equal(mw.weights, match_weights(x, z))
-        np.testing.assert_array_equal(mw.importance, patch_importance(x, z))
 
 
 class TestAllMatch:
@@ -307,7 +303,7 @@ class TestBatchedScores:
             got = composition_scores_stack(x3, zs, alpha)
             for b in range(6):
                 for k in range(4):
-                    want = composition_score(x3[b], zs[k], alpha=alpha).value
+                    want = linear_cka(power_transform(x3[b], alpha), zs[k])
                     assert got[b, k] == pytest.approx(want, abs=1e-12)
 
     def test_zero_policy(self):

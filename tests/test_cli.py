@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from compset import load_checkpoint, load_dataset, write_tensor
+from compset import load_checkpoint, load_dataset, read_tensor, write_tensor
 from compset.cli import main
 from compset.protocol import evaluate_sessions
 
@@ -93,6 +93,25 @@ class TestParsing:
 
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 1
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        assert main(["gen", "--out", str(tmp_path / "ds"), "--threads", "1"]) == 1
+        assert "--threads" in capsys.readouterr().err
+
+    def test_every_hyperparameter_flag_reaches_the_checkpoint(self, work, tmp_path):
+        out = tmp_path / "ck"
+        flags = {
+            "--tau": 12.0, "--alpha": 0.7, "--gamma": 32.0, "--lambda1": 1.5, "--lambda2": 0.5,
+            "--n-primitives": 2, "--lr": 0.02, "--momentum": 0.8, "--base-epochs": 1,
+            "--inc-epochs": 3, "--batch-size": 8, "--init-scheme": "gaussian",
+        }
+        argv = ["train-base", "--data", str(work["data"]), "--out", str(out)]
+        for flag, value in flags.items():
+            argv += [flag, str(value)]
+        assert main(argv) == 0
+        hp = json.loads((out / "state.json").read_text())["hyperparams"]
+        for flag, value in flags.items():
+            assert hp[flag[2:].replace("-", "_")] == value, flag
 
 
 class TestGen:
@@ -379,6 +398,20 @@ class TestEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert "not valid JSON" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_map_is_data_error(self, work, tmp_path, capsys):
+        # one NaN would otherwise turn a score row into NaN and vote for class 0
+        data = tmp_path / "data"
+        shutil.copytree(work["data"], data)
+        path = data / "session1_test.ckat"
+        X = read_tensor(path)
+        X[3, 2, 1] = np.nan
+        write_tensor(path, X)
+        rc = main(["eval", "--ckpt", str(work["ck2"]), "--data", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err
         assert "Traceback" not in err
 
     def test_provenance_to_stderr_without_out(self, work, capsys):

@@ -3,6 +3,7 @@
 import json
 import struct
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from compset import (
     synth_generate,
     write_tensor,
 )
-from compset.cka import FeatureMap
+from compset.data import write_atomic
 
 GOLDEN_HEX = (
     "434b4154"  # magic "CKAT"
@@ -183,6 +184,48 @@ class TestCorruption:
             read_tensor(path)
 
 
+class TestAtomicWrites:
+    @staticmethod
+    def fail_part_way(monkeypatch):
+        """Make every file write stop with a full disk after half its bytes."""
+        real = Path.write_bytes
+
+        def half_then_fail(self, data):
+            real(self, data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+
+    def test_failed_tensor_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.ckat"
+        write_tensor(path, np.arange(6.0).reshape(2, 3))
+        before = path.read_bytes()
+        self.fail_part_way(monkeypatch)
+        with pytest.raises(OSError):
+            write_tensor(path, np.ones((40, 3)))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ckat"]
+
+    def test_failed_dataset_save_keeps_the_old_files(self, tmp_path, monkeypatch):
+        cfg = SynthConfig(base_classes=2, incremental_sessions=0, train_per_base_class=2,
+                          test_per_class=2, seed=1)
+        save_dataset(synth_generate(cfg), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        self.fail_part_way(monkeypatch)
+        with pytest.raises(OSError):
+            save_dataset(synth_generate(replace(cfg, seed=2)), tmp_path)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_text_is_written_as_utf8_and_replaces_the_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("old")
+        write_atomic(path, '{"a": 1}\n')
+        assert path.read_bytes() == b'{"a": 1}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
 class TestNumpyImport:
     def test_npy_file_is_loaded(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -234,17 +277,6 @@ class TestFeatureBatch:
         assert batch.X.dtype == np.float64
         assert batch.labels.dtype == np.int64
 
-    def test_maps_carry_metadata(self):
-        batch = _toy_batch()
-        maps = list(batch.maps())
-        assert len(maps) == len(batch)
-        for i, m in enumerate(maps):
-            assert isinstance(m, FeatureMap)
-            np.testing.assert_array_equal(m.X, batch.X[i])
-            assert m.label == batch.labels[i]
-            assert m.session_id == batch.sessions[i]
-            assert m.sample_id == batch.sample_ids[i]
-
     def test_subset_picks_rows(self):
         batch = _toy_batch()
         sub = batch.subset([2, 0])
@@ -275,27 +307,9 @@ class TestFeatureBatch:
         np.testing.assert_array_equal(joined.labels, batch.labels)
         assert joined.sample_ids == batch.sample_ids
 
-    def test_from_maps_round_trip(self):
-        batch = _toy_batch()
-        again = FeatureBatch.from_maps(list(batch.maps()))
-        np.testing.assert_array_equal(again.X, batch.X)
-        np.testing.assert_array_equal(again.labels, batch.labels)
-        np.testing.assert_array_equal(again.sessions, batch.sessions)
-        assert again.sample_ids == batch.sample_ids
-
     def test_concat_rejects_empty_list(self):
         with pytest.raises(InvalidInput):
             FeatureBatch.concat([])
-
-    def test_from_maps_rejects_empty_list(self):
-        with pytest.raises(InvalidInput):
-            FeatureBatch.from_maps([])
-
-    def test_from_maps_rejects_shape_disagreement(self):
-        a = FeatureMap(X=np.ones((3, 4)), label=0, session_id=0, sample_id="a")
-        b = FeatureMap(X=np.ones((2, 4)), label=0, session_id=0, sample_id="b")
-        with pytest.raises(InvalidInput):
-            FeatureBatch.from_maps([a, b])
 
     def test_rejects_metadata_length_mismatch(self):
         with pytest.raises(InvalidInput):

@@ -9,7 +9,6 @@ from compset import (
     DegenerateInput,
     DegenerateSet,
     FeatureBatch,
-    FeatureMap,
     FixedColumns,
     Grads,
     Hyperparams,
@@ -18,9 +17,6 @@ from compset import (
     build_replaced,
     central_diff_grad,
     fixed_columns,
-    loss_cls,
-    loss_cmp,
-    loss_rcmp,
     total_loss_and_grad,
     train_base,
 )
@@ -41,6 +37,40 @@ from util import (
 
 def full_donor_map(class_ids):
     return {c: [d for d in class_ids if d != c] for c in class_ids}
+
+
+def one_sample(x, label):
+    x = np.asarray(x, dtype=np.float64)
+    return FeatureBatch(X=x[None], labels=[label], sessions=[0], sample_ids=["x"])
+
+
+def cls_loss(x, label, weights, tau=16.0):
+    """Cosine-head cross entropy of one sample: the total with both
+    composition heads off (the bank only registers the classes)."""
+    ids = list(weights.class_ids)
+    bank = PrimitiveBank(ids, np.zeros((len(ids), 1, weights.W.shape[1])), np.zeros(len(ids), bool))
+    hp = Hyperparams(tau=tau, lambda1=0.0, lambda2=0.0)
+    return total_loss_and_grad(one_sample(x, label), bank, weights, {}, hp)[0]
+
+
+def cmp_loss(x, label, bank, tau=16.0, alpha=1.0):
+    """Composition-score cross entropy of one sample over every class: the
+    total with only the composition head on."""
+    ids = list(bank.class_ids)
+    weights = ClassifierWeights(ids, np.ones((len(ids), bank.channels)), np.zeros(len(ids), bool))
+    hp = Hyperparams(tau=tau, alpha=alpha, lambda1=1.0, lambda2=0.0)
+    return total_loss_and_grad(one_sample(x, label), bank, weights, {}, hp, include_cls=False)[0]
+
+
+def rcmp_loss(x, label, bank, donor_map, tau=16.0, alpha=1.0, gamma=64.0):
+    """Cross entropy of one sample's scores on attention-replaced sets: the
+    total with only the replaced-composition head on."""
+    ids = list(bank.class_ids)
+    weights = ClassifierWeights(ids, np.ones((len(ids), bank.channels)), np.zeros(len(ids), bool))
+    hp = Hyperparams(tau=tau, alpha=alpha, gamma=gamma, lambda1=0.0, lambda2=1.0)
+    return total_loss_and_grad(
+        one_sample(x, label), bank, weights, donor_map, hp, include_cls=False
+    )[0]
 
 
 class TestHyperparams:
@@ -106,44 +136,42 @@ class TestLossCls:
             weights = ClassifierWeights(
                 list(range(k)), np.tile([1.0, 2.0, 0.5], (k, 1)), np.zeros(k, bool)
             )
-            fmap = FeatureMap(np.array([[0.3, -0.2, 1.0]]), label=0)
-            assert loss_cls(fmap, weights, tau=16.0) == pytest.approx(np.log(k), abs=1e-12)
+            got = cls_loss([[0.3, -0.2, 1.0]], 0, weights, tau=16.0)
+            assert got == pytest.approx(np.log(k), abs=1e-12)
 
     def test_hand_logits(self):
         # cosines (ln 2, 0) at tau=1: loss = -ln(2/3)
         c = np.log(2.0)
         w = np.array([[c, np.sqrt(1 - c * c)], [0.0, 1.0]])
         weights = ClassifierWeights([0, 1], w, np.zeros(2, bool))
-        fmap = FeatureMap(np.array([[1.0, 0.0]]), label=0)
         want = -np.log(2.0 / 3.0)
-        assert loss_cls(fmap, weights, tau=1.0) == pytest.approx(want, abs=1e-12)
+        assert cls_loss([[1.0, 0.0]], 0, weights, tau=1.0) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(0.405465, abs=1e-6)
 
     def test_aligned_row_large_tau(self):
         w = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         weights = ClassifierWeights([0, 1, 2], w, np.zeros(3, bool))
-        fmap = FeatureMap(np.array([[2.0, 0.0, 0.0]]), label=0)
-        assert loss_cls(fmap, weights, tau=64.0) <= 1e-12
+        assert cls_loss([[2.0, 0.0, 0.0]], 0, weights, tau=64.0) <= 1e-12
 
     def test_mean_patch_feature(self):
         # two patches averaging to the first axis
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
         weights = ClassifierWeights([0, 1], w, np.zeros(2, bool))
-        fmap = FeatureMap(np.array([[2.0, 1.0], [0.0, -1.0]]), label=0)  # mean [1, 0]
-        assert loss_cls(fmap, weights, tau=32.0) <= 1e-12
+        x = [[2.0, 1.0], [0.0, -1.0]]  # mean [1, 0]
+        assert cls_loss(x, 0, weights, tau=32.0) <= 1e-12
 
     def test_degenerate_inputs(self):
         weights = ClassifierWeights([0, 1], np.eye(2), np.zeros(2, bool))
         with pytest.raises(DegenerateInput):
-            loss_cls(FeatureMap(np.array([[1.0, 0.0], [-1.0, 0.0]]), label=0), weights)
+            cls_loss(np.array([[1.0, 0.0], [-1.0, 0.0]]), 0, weights)
         weights_zero = ClassifierWeights([0, 1], np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2, bool))
         with pytest.raises(DegenerateInput):
-            loss_cls(FeatureMap(np.array([[1.0, 0.0]]), label=0), weights_zero)
+            cls_loss(np.array([[1.0, 0.0]]), 0, weights_zero)
 
     def test_unknown_label(self):
         weights = ClassifierWeights([0, 1], np.eye(2), np.zeros(2, bool))
         with pytest.raises(InvalidInput):
-            loss_cls(FeatureMap(np.array([[1.0, 0.0]]), label=9), weights)
+            cls_loss(np.array([[1.0, 0.0]]), 9, weights)
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(0)
@@ -157,7 +185,7 @@ class TestLossCls:
             logits = tau * np.array([cosine_oracle(f, w[c]) for c in range(k)])
             want = softmax_ce_oracle(logits, label)
             weights = ClassifierWeights(list(range(k)), w, np.zeros(k, bool))
-            got = loss_cls(FeatureMap(x, label=label), weights, tau=tau)
+            got = cls_loss(x, label, weights, tau=tau)
             assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -167,8 +195,8 @@ class TestLossCmp:
         block = rng.standard_normal((3, 4))
         for k in (2, 3, 5):
             bank = PrimitiveBank(list(range(k)), np.tile(block, (k, 1, 1)), np.zeros(k, bool))
-            fmap = FeatureMap(rng.standard_normal((4, 4)), label=1)
-            assert loss_cmp(fmap, bank, tau=8.0, alpha=1.0) == pytest.approx(np.log(k), abs=1e-12)
+            got = cmp_loss(rng.standard_normal((4, 4)), 1, bank, tau=8.0, alpha=1.0)
+            assert got == pytest.approx(np.log(k), abs=1e-12)
 
     def test_hand_scores_one_zero(self):
         # true class scores 1 (same rows), other scores 0 (orthogonal after centering)
@@ -176,7 +204,7 @@ class TestLossCmp:
         z = np.stack([x, np.array([[1.0, -2.0, 1.0]])])
         bank = PrimitiveBank([0, 1], z, np.zeros(2, bool))
         want = np.log(1.0 + np.exp(-1.0))
-        got = loss_cmp(FeatureMap(x, label=0), bank, tau=1.0, alpha=1.0)
+        got = cmp_loss(x, 0, bank, tau=1.0, alpha=1.0)
         assert got == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(0.313262, abs=1e-6)
 
@@ -185,13 +213,13 @@ class TestLossCmp:
         x = rng.standard_normal((3, 5))
         other = rng.standard_normal((3, 5))
         bank = PrimitiveBank([0, 1], np.stack([x, other]), np.zeros(2, bool))
-        assert loss_cmp(FeatureMap(x, label=0), bank, tau=256.0, alpha=1.0) <= 1e-6
+        assert cmp_loss(x, 0, bank, tau=256.0, alpha=1.0) <= 1e-6
 
     def test_degenerate_block_names_class(self):
         z = np.stack([np.ones((2, 3)), np.arange(6.0).reshape(2, 3)])
         bank = PrimitiveBank([4, 7], z, np.zeros(2, bool))
         with pytest.raises(DegenerateSet) as err:
-            loss_cmp(FeatureMap(np.array([[1.0, 2.0, 4.0]]), label=4), bank)
+            cmp_loss(np.array([[1.0, 2.0, 4.0]]), 4, bank)
         assert err.value.class_id == 4
 
     def test_registration_order_invariance(self):
@@ -201,16 +229,16 @@ class TestLossCmp:
         a = PrimitiveBank([0, 1, 2], blocks, np.zeros(3, bool))
         perm = [2, 0, 1]  # block j of b is block perm[j] of a
         b = PrimitiveBank([0, 1, 2], blocks[perm], np.zeros(3, bool))
-        la = loss_cmp(FeatureMap(x, label=1), a, tau=8.0, alpha=0.8)
-        lb = loss_cmp(FeatureMap(x, label=perm.index(1)), b, tau=8.0, alpha=0.8)
+        la = cmp_loss(x, 1, a, tau=8.0, alpha=0.8)
+        lb = cmp_loss(x, perm.index(1), b, tau=8.0, alpha=0.8)
         assert la == pytest.approx(lb, abs=1e-12)
 
     def test_scale_invariance_alpha_one(self):
         rng = np.random.default_rng(4)
         bank, _ = random_model(rng)
         x = rng.standard_normal((4, 6))
-        a = loss_cmp(FeatureMap(x, label=0), bank, tau=4.0, alpha=1.0)
-        b = loss_cmp(FeatureMap(3.7 * x, label=0), bank, tau=4.0, alpha=1.0)
+        a = cmp_loss(x, 0, bank, tau=4.0, alpha=1.0)
+        b = cmp_loss(3.7 * x, 0, bank, tau=4.0, alpha=1.0)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_scale_reparameterization_below_one(self):
@@ -218,8 +246,8 @@ class TestLossCmp:
         bank, _ = random_model(rng)
         x = rng.standard_normal((4, 6))
         alpha, c = 0.5, 2.0
-        a = loss_cmp(FeatureMap(x, label=0), bank, tau=4.0, alpha=alpha)
-        b = loss_cmp(FeatureMap(c ** (1 / alpha) * x, label=0), bank, tau=4.0, alpha=alpha)
+        a = cmp_loss(x, 0, bank, tau=4.0, alpha=alpha)
+        b = cmp_loss(c ** (1 / alpha) * x, 0, bank, tau=4.0, alpha=alpha)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_matches_direct_oracle(self):
@@ -233,7 +261,7 @@ class TestLossCmp:
             xt = power_oracle(x, alpha)
             logits = tau * np.array([cka_oracle(xt, bank.Z[c]) for c in range(k)])
             want = softmax_ce_oracle(logits, label)
-            got = loss_cmp(FeatureMap(x, label=label), bank, tau=tau, alpha=alpha)
+            got = cmp_loss(x, label, bank, tau=tau, alpha=alpha)
             assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -254,8 +282,8 @@ class TestLossRcmp:
         rng = np.random.default_rng(7)
         for label in (0, 1, 2):
             x = np.abs(rng.standard_normal((5, 4)))
-            a = loss_cmp(FeatureMap(x, label=label), bank, tau=8.0, alpha=0.8)
-            b = loss_rcmp(FeatureMap(x, label=label), bank, donor_map, tau=8.0, alpha=0.8, gamma=64.0)
+            a = cmp_loss(x, label, bank, tau=8.0, alpha=0.8)
+            b = rcmp_loss(x, label, bank, donor_map, tau=8.0, alpha=0.8, gamma=64.0)
             assert b == pytest.approx(a, abs=1e-9)
 
     def test_single_donor_row_collapses_to_log_k(self):
@@ -267,7 +295,7 @@ class TestLossRcmp:
         bank = PrimitiveBank([0, 1, 2], z, np.zeros(3, bool))
         donor_map = {0: [1], 1: [0], 2: [0]}
         x = np.array([[0.3, 1.0, -0.2], [1.5, 0.1, 0.9]])
-        got = loss_rcmp(FeatureMap(x, label=0), bank, donor_map, tau=8.0, alpha=1.0, gamma=4.0)
+        got = rcmp_loss(x, 0, bank, donor_map, tau=8.0, alpha=1.0, gamma=4.0)
         assert got == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_true_class_reconstructed_others_scrambled(self):
@@ -283,13 +311,13 @@ class TestLossRcmp:
         bank = PrimitiveBank([0, 1, 2], z, np.zeros(3, bool))
         donor_map = full_donor_map([0, 1, 2])
         x = np.abs(np.random.default_rng(8).standard_normal((4, 4))) + np.stack([p, q, p, q])
-        got = loss_rcmp(FeatureMap(x, label=0), bank, donor_map, tau=8.0, alpha=1.0, gamma=64.0)
+        got = rcmp_loss(x, 0, bank, donor_map, tau=8.0, alpha=1.0, gamma=64.0)
         assert got < np.log(3.0) - 1e-3
 
     def test_empty_donor_pool(self):
         bank = rotation_bank()
         with pytest.raises(InvalidInput):
-            loss_rcmp(FeatureMap(np.ones((2, 4)) + np.eye(2, 4), label=0), bank, {0: [1], 1: [0], 2: []})
+            rcmp_loss(np.ones((2, 4)) + np.eye(2, 4), 0, bank, {0: [1], 1: [0], 2: []})
 
     def test_rebuilt_from_current_bank(self):
         # mutating a donor block changes the loss on the next call; the
@@ -298,9 +326,9 @@ class TestLossRcmp:
         bank = rotation_bank()
         donor_map = full_donor_map([0, 1, 2])
         x = np.abs(np.random.default_rng(9).standard_normal((3, 4)))
-        before = loss_rcmp(FeatureMap(x, label=0), bank, donor_map, tau=8.0, alpha=1.0, gamma=4.0)
+        before = rcmp_loss(x, 0, bank, donor_map, tau=8.0, alpha=1.0, gamma=4.0)
         bank.Z[1, 0, 0] += 0.9
-        after = loss_rcmp(FeatureMap(x, label=0), bank, donor_map, tau=8.0, alpha=1.0, gamma=4.0)
+        after = rcmp_loss(x, 0, bank, donor_map, tau=8.0, alpha=1.0, gamma=4.0)
         assert before != after
 
 
@@ -312,7 +340,7 @@ class TestTotalLossAndGrad:
         hp = Hyperparams(tau=8.0, lambda1=0.0, lambda2=0.0)
         total, grads = total_loss_and_grad(batch, bank, weights, full_donor_map([0, 1, 2]), hp)
         singles = [
-            loss_cls(FeatureMap(batch.X[i], label=int(batch.labels[i])), weights, tau=8.0)
+            cls_loss(batch.X[i], int(batch.labels[i]), weights, tau=8.0)
             for i in range(len(batch.X))
         ]
         assert total == pytest.approx(np.mean(singles), abs=1e-12)
@@ -327,11 +355,11 @@ class TestTotalLossAndGrad:
         total, _ = total_loss_and_grad(batch, bank, weights, donor_map, hp)
         singles = []
         for i in range(len(batch.X)):
-            fmap = FeatureMap(batch.X[i], label=int(batch.labels[i]))
+            x, label = batch.X[i], int(batch.labels[i])
             singles.append(
-                loss_cls(fmap, weights, tau=8.0)
-                + 2.0 * loss_cmp(fmap, bank, tau=8.0, alpha=0.8)
-                + 2.0 * loss_rcmp(fmap, bank, donor_map, tau=8.0, alpha=0.8, gamma=4.0)
+                cls_loss(x, label, weights, tau=8.0)
+                + 2.0 * cmp_loss(x, label, bank, tau=8.0, alpha=0.8)
+                + 2.0 * rcmp_loss(x, label, bank, donor_map, tau=8.0, alpha=0.8, gamma=4.0)
             )
         assert total == pytest.approx(np.mean(singles), abs=1e-10)
 
@@ -380,10 +408,10 @@ class TestTotalLossAndGrad:
         total, grads = total_loss_and_grad(batch, bank, weights, donor_map, hp, include_cls=False)
         singles = []
         for i in range(len(batch.X)):
-            fmap = FeatureMap(batch.X[i], label=int(batch.labels[i]))
+            x, label = batch.X[i], int(batch.labels[i])
             singles.append(
-                2.0 * loss_cmp(fmap, bank, tau=8.0, alpha=0.8)
-                + 2.0 * loss_rcmp(fmap, bank, donor_map, tau=8.0, alpha=0.8, gamma=4.0)
+                2.0 * cmp_loss(x, label, bank, tau=8.0, alpha=0.8)
+                + 2.0 * rcmp_loss(x, label, bank, donor_map, tau=8.0, alpha=0.8, gamma=4.0)
             )
         assert total == pytest.approx(np.mean(singles), abs=1e-10)
         assert np.all(grads.dW == 0.0)

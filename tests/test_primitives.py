@@ -5,7 +5,6 @@ from compset import (
     InsufficientData,
     InvalidInput,
     PrimitiveBank,
-    attention_replace,
     build_replaced,
     extend_bank,
     hard_nearest_replace,
@@ -13,6 +12,12 @@ from compset import (
     kmeans_centers,
 )
 from util import attention_oracle, replaced_block_oracle
+
+
+def replace_one(bank, class_id, donors, gamma):
+    """One class's replaced block and attention, through build_replaced."""
+    rb = build_replaced(bank, {class_id: list(donors)}, gamma, classes=[class_id])
+    return rb.Z_hat[0], rb.attention[0]
 
 
 def small_bank(n_classes=3, n_primitives=4, d=5, seed=0, sigma=1.0):
@@ -187,7 +192,7 @@ class TestAttentionReplace:
             np.zeros(2, dtype=bool),
         )
         for gamma in (0.1, 1.0, 64.0):
-            z_hat, att = attention_replace(bank, 0, [1], gamma)
+            z_hat, att = replace_one(bank, 0, [1], gamma)
             np.testing.assert_allclose(z_hat, bank.block(1), atol=1e-15)
             np.testing.assert_allclose(att, [[1.0]], atol=1e-15)
 
@@ -196,7 +201,7 @@ class TestAttentionReplace:
         z[1, 0] = [1.0, 0.0]
         z[2, 0] = [3.0, 0.0]
         bank = PrimitiveBank([0, 1, 2], z, np.zeros(3, dtype=bool))
-        z_hat, att = attention_replace(bank, 0, [1, 2], 1.0)
+        z_hat, att = replace_one(bank, 0, [1, 2], 1.0)
         np.testing.assert_allclose(att, [[0.999665, 0.000335]], atol=1e-6)
         np.testing.assert_allclose(z_hat, [[1.000670, 0.0]], atol=1e-6)
 
@@ -205,12 +210,12 @@ class TestAttentionReplace:
         z[1, 0] = [1.0, 0.0]
         z[2, 0] = [3.0, 0.0]
         bank = PrimitiveBank([0, 1, 2], z, np.zeros(3, dtype=bool))
-        z_hat, _ = attention_replace(bank, 0, [1, 2], 64.0)
+        z_hat, _ = replace_one(bank, 0, [1, 2], 64.0)
         np.testing.assert_allclose(z_hat, [[1.0, 0.0]], atol=1e-9)
 
     def test_rows_are_probability_vectors(self):
         bank = small_bank(n_classes=4, n_primitives=3, d=5)
-        _, att = attention_replace(bank, 2, [0, 1, 3], 8.0)
+        _, att = replace_one(bank, 2, [0, 1, 3], 8.0)
         assert att.shape == (3, 9)
         assert np.all(att >= 0.0)
         np.testing.assert_allclose(att.sum(axis=1), np.ones(3), atol=1e-9)
@@ -219,7 +224,7 @@ class TestAttentionReplace:
         bank = small_bank(n_classes=3, n_primitives=4, d=6, seed=3)
         donors = np.concatenate([bank.Z[0], bank.Z[2]], axis=0)
         for gamma in (0.5, 4.0, 16.0):
-            z_hat, att = attention_replace(bank, 1, [0, 2], gamma)
+            z_hat, att = replace_one(bank, 1, [0, 2], gamma)
             want_att = np.stack([attention_oracle(row, donors, gamma) for row in bank.Z[1]])
             np.testing.assert_allclose(att, want_att, atol=1e-12)
             np.testing.assert_allclose(z_hat, replaced_block_oracle(bank.Z[1], donors, gamma), atol=1e-12)
@@ -240,7 +245,7 @@ class TestAttentionReplace:
             z[1] = donors[:3]
             z[2] = donors[3:]
             bank = PrimitiveBank([0, 1, 2], z, np.zeros(3, dtype=bool))
-            z_hat, _ = attention_replace(bank, 0, [1, 2], 64.0)
+            z_hat, _ = replace_one(bank, 0, [1, 2], 64.0)
             nearest = donors[d2.argmin(axis=1)]
             assert np.max(np.abs(z_hat - nearest)) <= 1e-6
 
@@ -248,28 +253,28 @@ class TestAttentionReplace:
         bank = small_bank(n_classes=3, n_primitives=2, d=4, seed=10)
         shift = np.array([0.3, -1.2, 4.0, 0.05])
         shifted = PrimitiveBank(list(bank.class_ids), bank.Z + shift, bank.frozen.copy())
-        z_a, att_a = attention_replace(bank, 0, [1, 2], 8.0)
-        z_b, att_b = attention_replace(shifted, 0, [1, 2], 8.0)
+        z_a, att_a = replace_one(bank, 0, [1, 2], 8.0)
+        z_b, att_b = replace_one(shifted, 0, [1, 2], 8.0)
         np.testing.assert_allclose(z_b, z_a + shift, atol=1e-9)
         np.testing.assert_allclose(att_b, att_a, atol=1e-12)
 
     def test_errors(self):
         bank = small_bank()
         with pytest.raises(InvalidInput):
-            attention_replace(bank, 0, [], 1.0)
+            replace_one(bank, 0, [], 1.0)
         with pytest.raises(InvalidInput):
-            attention_replace(bank, 0, [0, 1], 1.0)
+            replace_one(bank, 0, [0, 1], 1.0)
         with pytest.raises(InvalidInput):
-            attention_replace(bank, 0, [1], 0.0)
+            replace_one(bank, 0, [1], 0.0)
         with pytest.raises(InvalidInput):
-            attention_replace(bank, 0, [1, 1], 1.0)
+            replace_one(bank, 0, [1, 1], 1.0)
 
     def test_build_replaced_matches_single(self):
         bank = small_bank(n_classes=4, n_primitives=3, d=5, seed=12)
         donor_map = {c: [d for d in range(4) if d != c] for c in range(4)}
         rb = build_replaced(bank, donor_map, 4.0)
         for c in range(4):
-            z_hat, att = attention_replace(bank, c, donor_map[c], 4.0)
+            z_hat, att = replace_one(bank, c, donor_map[c], 4.0)
             np.testing.assert_allclose(rb.block(c), z_hat, atol=1e-12)
             np.testing.assert_allclose(rb.attention[c], att, atol=1e-12)
 

@@ -1,5 +1,7 @@
 """Tests for session evaluation, ablation tooling, and the benchmark."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,11 @@ from compset import (
     Hyperparams,
     InvalidInput,
     SynthConfig,
-    composition_score,
     evaluate_sessions,
     importance_filter_eval,
+    linear_cka,
     performance_drop,
+    power_transform,
     primitive_count_sweep,
     retrieval_export,
     reuse_retention_eval,
@@ -26,6 +29,7 @@ from compset import (
 from compset.losses import ClassifierWeights
 from compset.primitives import PrimitiveBank
 from compset.protocol import (
+    HEADS,
     SessionSchedule,
     schedule_of,
     sweep_table,
@@ -170,7 +174,7 @@ class TestScoreMatrix:
         scores = score_matrix(state, X3, "composition")
         for i in range(3):
             for j in (0, 5, 7):
-                want = composition_score(X3[i], state.bank.Z[j], state.hp.alpha).value
+                want = linear_cka(power_transform(X3[i], state.hp.alpha), state.bank.Z[j])
                 assert abs(scores[i, j] - want) < 1e-12
 
     def test_baseline_is_cosine_of_mean_feature(self, state, ds):
@@ -305,6 +309,46 @@ class TestEvaluateSessions:
         empty = _empty_like(ds.test[1])
         with pytest.raises(InvalidInput, match="empty test sets"):
             evaluate_sessions(state, {0: ds.test[0], 1: empty, 2: ds.test[2]})
+
+
+def _with_non_finite(batch: FeatureBatch, value=np.nan) -> FeatureBatch:
+    X = batch.X.copy()
+    X[-1, 0, 1] = value
+    return replace(batch, X=X)
+
+
+class TestNonFiniteMaps:
+    """A NaN once turned its score row into NaN, which argmax reads as a vote
+    for the first class: evaluation reported an accuracy and no error."""
+
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_score_matrix_rejects(self, head, value):
+        st = perfect_state()
+        with pytest.raises(InvalidInput, match="non-finite"):
+            score_matrix(st, _with_non_finite(perfect_tests(st)[0], value).X, head)
+
+    @pytest.mark.parametrize("session", [0, 1])
+    def test_evaluate_sessions_rejects(self, session):
+        st = perfect_state()
+        tests = perfect_tests(st)
+        tests[session] = _with_non_finite(tests[session])
+        with pytest.raises(InvalidInput, match="non-finite"):
+            evaluate_sessions(st, tests)
+
+    @pytest.mark.parametrize("by_true_label", [False, True])
+    def test_importance_filter_rejects(self, by_true_label):
+        st = perfect_state()
+        batch = _with_non_finite(perfect_tests(st)[0])
+        with pytest.raises(InvalidInput, match="non-finite"):
+            importance_filter_eval(st, batch, [1, 2], rank_by_true_label=by_true_label)
+
+    def test_reuse_retention_rejects(self):
+        st = perfect_state()
+        tests = perfect_tests(st)
+        tests[1] = _with_non_finite(tests[1])
+        with pytest.raises(InvalidInput, match="non-finite"):
+            reuse_retention_eval(st, tests, [0.0, 0.5])
 
 
 class TestRunSessions:

@@ -17,6 +17,7 @@ from compset import (
     synth_generate,
     train_base,
     train_incremental,
+    write_tensor,
 )
 from compset.data import FeatureBatch
 from compset.protocol import score_matrix
@@ -141,6 +142,23 @@ class TestSgdStep:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             sgd_step(np.ones(3), np.ones(4), np.ones(3), lr=0.1, momentum=0.9)
+
+    @pytest.mark.parametrize("length", [0, 2, 4])
+    def test_mask_of_wrong_length_rejected(self, length):
+        with pytest.raises(InvalidInput, match="mask"):
+            sgd_step(np.ones((3, 2)), np.ones((3, 2)), np.ones((3, 2)), lr=0.1, momentum=0.9,
+                     mask=np.ones(length, dtype=bool))
+
+    def test_no_mask_moves_every_row_like_a_full_mask(self):
+        rng = np.random.default_rng(3)
+        theta, grad, v = (rng.standard_normal((4, 2, 3)) for _ in range(3))
+        got = sgd_step(theta, grad, v, lr=0.2, momentum=0.9)
+        full = sgd_step(theta, grad, v, lr=0.2, momentum=0.9, mask=np.ones(4, dtype=bool))
+        want_v = 0.9 * v + grad
+        for a, b in zip(got, full):
+            assert a.tobytes() == b.tobytes()
+        assert got[1].tobytes() == want_v.tobytes()
+        assert got[0].tobytes() == (theta - 0.2 * want_v).tobytes()
 
     @pytest.mark.parametrize("lr,momentum", [(0.0, 0.9), (-0.1, 0.9), (0.1, 1.0), (0.1, -0.1)])
     def test_bad_optimizer_settings_rejected(self, lr, momentum):
@@ -458,6 +476,29 @@ class TestCheckpoint:
         spath = save_checkpoint(full_state, tmp_path)
         spath.write_text(spath.read_text()[:-10])
         with pytest.raises(InvalidInput, match="not valid JSON"):
+            load_checkpoint(tmp_path)
+
+    def test_bank_with_other_primitive_count_rejected(self, full_state, tmp_path):
+        spath = save_checkpoint(full_state, tmp_path)
+        doc = json.loads(spath.read_text())
+        doc["hyperparams"]["n_primitives"] = full_state.hp.n_primitives - 2
+        spath.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInput, match="bank.ckat"):
+            load_checkpoint(tmp_path)
+
+    def test_weights_with_other_channel_count_rejected(self, full_state, tmp_path):
+        save_checkpoint(full_state, tmp_path)
+        write_tensor(tmp_path / "weights.ckat", full_state.weights.W[:, :3])
+        with pytest.raises(InvalidInput, match="weights.ckat"):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_sessions_seen_must_follow_class_sessions(self, full_state, tmp_path, delta):
+        spath = save_checkpoint(full_state, tmp_path)
+        doc = json.loads(spath.read_text())
+        doc["sessions_seen"] += delta
+        spath.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInput, match="sessions_seen"):
             load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize(

@@ -71,6 +71,13 @@ def softmax_ce_oracle(logits, label: int) -> float:
     return float(-np.log(p[label]))
 
 
+def softmax_oracle(logits, temperature: float = 1.0) -> np.ndarray:
+    """softmax(temperature * logits) of one vector, direct formula."""
+    z = temperature * np.asarray(logits, dtype=np.float64)
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
 def cosine_oracle(u, v) -> float:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -162,7 +169,7 @@ def total_loss_and_grad_unsplit(
     dW = np.zeros_like(weights.W)
     dZ = np.zeros_like(bank.Z)
     if include_cls:
-        loss, g = _cls_core(X3, label_idx, weights.W, hp.tau, True)
+        loss, g = _cls_core(X3, label_idx, weights.W, hp.tau)
         total += loss
         dW += g
     if hp.lambda1 != 0.0:
