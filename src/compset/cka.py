@@ -12,13 +12,14 @@ where Xc, Zc subtract each row's mean across channels.  The value lives in
 and is invariant to per-set isotropic scaling, to orthogonal mixing of the
 patch dimension, and to one channel permutation applied to both sets.
 
-The score of a power-transformed map against every class block is one
-batched call, `composition_scores_stack`; training, evaluation and the
-benchmark all score through it.  The single-pair functions below are the
-readable reference and serve the analyses: per-(patch, primitive) match
-weights and per-patch importances that apportion the score exactly, the
-plain all-match cosine comparators, and the batch-dimension CKA used to
-compare two models' representations of a common batch.
+One batched kernel, `composition_scores_stack`, computes this CKA: the
+scores of power-transformed maps against every class block and, for
+training, the gradient of a loss on them with respect to the blocks.
+`linear_cka` is one pair of it; `cka_rc`, the CKA of two representations
+of one batch, is `linear_cka` of their transposes.  `cosine_scores_stack`
+computes the plain mean/max cosine comparators for the evaluation heads
+and `allmatch_similarity`.  Only the match weights and patch importances,
+which apportion one pair's score exactly, keep a single-pair path.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ def center_rows(X) -> Matrix:
     Equivalent to right-multiplying by the projector J = I - (1/d) 11^T;
     applying it twice is a no-op.
     """
-    m = _set_matrix(X, "X")
-    return m - m.mean(axis=1, keepdims=True)
+    return center_stack(_set_matrix(X, "X")[None])[0]
 
 
 def gram_frobenius(Xc: Matrix) -> float:
@@ -56,11 +56,16 @@ def gram_frobenius(Xc: Matrix) -> float:
     return float(np.sqrt(np.sum(g * g)))
 
 
-def _centered_pair(X, Z):
+def _pair(X, Z) -> tuple[Matrix, Matrix]:
     Xm = _set_matrix(X, "X")
     Zm = _set_matrix(Z, "Z")
     if Xm.shape[1] != Zm.shape[1]:
         raise InvalidInput(f"channel mismatch: X has {Xm.shape[1]}, Z has {Zm.shape[1]}")
+    return Xm, Zm
+
+
+def _centered_pair(X, Z):
+    Xm, Zm = _pair(X, Z)
     Xc = Xm - Xm.mean(axis=1, keepdims=True)
     Zc = Zm - Zm.mean(axis=1, keepdims=True)
     a = gram_frobenius(Xc)
@@ -73,10 +78,13 @@ def _centered_pair(X, Z):
 
 
 def linear_cka(X, Z) -> float:
-    """Linear CKA between two sets of rows sharing a channel dimension."""
-    Xc, Zc, a, b = _centered_pair(X, Z)
-    c = Xc @ Zc.T
-    val = float(np.sum(c * c) / (a * b))
+    """Linear CKA of two row sets sharing channels: one pair of composition_scores_stack."""
+    Xm, Zm = _pair(X, Z)
+    try:
+        val = float(composition_scores_stack(Xm[None], Zm[None])[0, 0])
+    except DegenerateSet as e:
+        side = "X" if e.class_id is None else "Z"
+        raise DegenerateSet(f"{side} centers to zero; similarity undefined") from None
     return min(max(val, 0.0), 1.0)
 
 
@@ -85,12 +93,7 @@ def power_transform(X, alpha: float) -> Matrix:
 
     Flattens dominant activations before scoring; identity at alpha = 1.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInput(f"alpha must be in (0, 1], got {alpha}")
-    m = as_matrix(X, "X")
-    if alpha == 1.0:
-        return m.copy()
-    return np.sign(m) * np.abs(m) ** alpha
+    return power_transform_stack(as_matrix(X, "X")[None], alpha)[0]
 
 
 def match_weights(X, Z) -> np.ndarray:
@@ -116,69 +119,42 @@ def patch_importance(X, Z) -> np.ndarray:
 
 
 def allmatch_similarity(X, Z, mode: str = "mean") -> float:
-    """Plain cosine comparators between two row sets.
-
-    mode="mean": average cosine over all (patch, primitive) pairs, which
-    equals the dot product of the two averaged row-normalized sets.
-    mode="max": average over patches of the best-matching primitive cosine.
-    """
-    if mode not in ("mean", "max"):
-        raise InvalidInput(f"mode must be 'mean' or 'max', got {mode!r}")
+    """Plain cosine comparators between two row sets: one pair of
+    cosine_scores_stack.  A zero row has no direction, so it raises
+    DegenerateInput here rather than counting as cosine 0."""
     Xm = as_matrix(X, "X")
     Zm = as_matrix(Z, "Z")
     if Xm.shape[1] != Zm.shape[1]:
         raise InvalidInput("channel mismatch between X and Z")
-    xn = np.linalg.norm(Xm, axis=1)
-    zn = np.linalg.norm(Zm, axis=1)
-    if np.any(xn == 0.0) or np.any(zn == 0.0):
+    if not (Xm.any(axis=1).all() and Zm.any(axis=1).all()):
         raise DegenerateInput("zero rows have no direction; cosine undefined")
-    cos = (Xm / xn[:, None]) @ (Zm / zn[:, None]).T
-    if mode == "mean":
-        return float(cos.mean())
-    return float(cos.max(axis=1).mean())
+    return float(cosine_scores_stack(Xm[None], Zm[None], mode)[0, 0])
 
 
-def cka_rc(A, B, kernel: str = "linear") -> float:
+def cka_rc(A, B) -> float:
     """CKA between two representations of one batch (rows are samples).
 
-    HSIC(K, L) = tr(K H L H) / (b - 1)^2 with H = I - (1/b) 11^T and
-    K = A A^T, L = B B^T; the score normalizes by sqrt(HSIC(K,K) HSIC(L,L)).
-    Used to compare layer representations across models; the patch-level
-    similarity above is this same quantity applied along channels.
+    With each column centered over the batch, linear CKA is
+    ||Ac^T Bc||_F^2 / (||Ac^T Ac||_F ||Bc^T Bc||_F), which equals the HSIC
+    form over the b x b Grams (Kornblith et al. 2019).  Centering A's
+    columns is row-centering A^T, so this is linear_cka(A.T, B.T): it needs
+    O(p q + (p + q) b) memory for p and q features, never a b x b Gram.
     """
-    if kernel != "linear":
-        raise InvalidInput(f"only the linear kernel is supported, got {kernel!r}")
     Am = as_matrix(A, "A")
     Bm = as_matrix(B, "B")
-    nb = Am.shape[0]
-    if Bm.shape[0] != nb:
+    if Bm.shape[0] != Am.shape[0]:
         raise InvalidInput("A and B must hold the same batch (equal row counts)")
-    if nb < 2:
-        raise InvalidInput("need at least 2 samples to center the Gram matrices")
-    k = Am @ Am.T
-    l = Bm @ Bm.T
-    kc = _double_center(k)
-    lc = _double_center(l)
-    xx = float(np.sum(kc * kc))
-    yy = float(np.sum(lc * lc))
-    if xx <= 0.0 or yy <= 0.0:
-        raise DegenerateSet("a representation is constant across the batch")
-    xy = float(np.sum(kc * lc))
-    val = xy / np.sqrt(xx * yy)
-    return min(max(val, 0.0), 1.0)
-
-
-def _double_center(g: np.ndarray) -> np.ndarray:
-    """H g H without materializing H."""
-    rm = g.mean(axis=0, keepdims=True)
-    cm = g.mean(axis=1, keepdims=True)
-    return g - rm - cm + g.mean()
+    if Am.shape[0] < 2:
+        raise InvalidInput("need at least 2 samples to center over the batch")
+    try:
+        return linear_cka(Am.T, Bm.T)
+    except DegenerateSet:
+        raise DegenerateSet("a representation is constant across the batch") from None
 
 
 # ---------------------------------------------------------------------------
-# Batched versions on stacks of equally-shaped maps.  These are the hot paths
-# shared by the losses, the evaluation protocol, and the benchmark; the
-# single-pair functions above stay the readable reference.
+# Batched kernels on stacks of equally-shaped maps: the hot paths shared by
+# the losses, the evaluation protocol, and the benchmark.
 # ---------------------------------------------------------------------------
 
 
@@ -212,14 +188,16 @@ def composition_scores_stack(
     Zstack: np.ndarray,
     alpha: float = 1.0,
     on_degenerate: str = "raise",
-    _return_internals: bool = False,
+    _with_vjp: bool = False,
 ):
     """Composition scores of every map against every class block.
 
     X3 is (B, n, d) raw maps, Zstack is (C, N, d) raw primitive blocks; the
     result is (B, C).  ``on_degenerate`` chooses between raising
     DegenerateSet and scoring the offending pairs 0.0 (evaluation policy).
-    The heavy product runs as one GEMM over (B*n, d) x (d, C*N).
+    The heavy product runs as one GEMM over (B*n, d) x (d, C*N).  With
+    ``_with_vjp`` the result is ``(scores, vjp)``, where ``vjp`` maps
+    d(loss)/d(scores) (B, C) to d(loss)/d(Zstack) (C, N, d).
     """
     if on_degenerate not in ("raise", "zero"):
         raise InvalidInput("on_degenerate must be 'raise' or 'zero'")
@@ -245,13 +223,56 @@ def composition_scores_stack(
         if np.any(bad_b):
             idx = int(np.argmax(bad_b))
             raise DegenerateSet(f"class block {idx} centers to zero", class_id=idx)
+    a = np.where(bad_a, 1.0, a)
+    b = np.where(bad_b, 1.0, b)
     prod = (Xc.reshape(bsz * n, d) @ Zc.reshape(ncls * npr, d).T).reshape(bsz, n, ncls, npr)
     num = np.einsum("bnkm,bnkm->bk", prod, prod)
-    denom = np.where(bad_a, 1.0, a)[:, None] * np.where(bad_b, 1.0, b)[None, :]
-    scores = num / denom
+    scores = num / (a[:, None] * b[None, :])
     if np.any(bad_a) or np.any(bad_b):
         scores[bad_a, :] = 0.0
         scores[:, bad_b] = 0.0
-    if _return_internals:
-        return scores, prod, num, a, b, Xc, Zc
-    return scores
+    if not _with_vjp:
+        return scores
+
+    def vjp(dscores: np.ndarray) -> np.ndarray:
+        """For one pair, with P = Xc Zc^T and G = Zc Zc^T:
+        d score/d Zc = (2/(a b)) (P^T Xc - (num/b^2) G Zc); the row
+        centering then projects the gradient back through J.  A degenerate
+        pair has P = 0 and passes no gradient."""
+        coef = dscores * (2.0 / (a[:, None] * b[None, :]))  # (B, C)
+        pw = prod * coef[:, None, :, None]  # (B, n, C, N)
+        t1 = np.tensordot(pw, Xc, axes=([0, 1], [0, 1]))  # (C, N, d)
+        s2 = (coef * num).sum(axis=0) / (b * b)  # (C,)
+        gz = Zc @ Zc.transpose(0, 2, 1)  # (C, N, N)
+        dZc = t1 - s2[:, None, None] * (gz @ Zc)
+        return dZc - dZc.mean(axis=2, keepdims=True)
+
+    return scores, vjp
+
+
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0)
+
+
+def cosine_scores_stack(X3: np.ndarray, Zstack: np.ndarray, mode: str = "mean") -> np.ndarray:
+    """Plain cosine comparators of every (B, n, d) map against every
+    (C, N, d) class block, (B, C).  mode="mean": average cosine over all
+    (patch, primitive) pairs, the dot product of the two averaged unit-row
+    sets; mode="max": average over patches of the best primitive cosine.
+    A zero row counts as a zero vector: its cosines are 0."""
+    if mode not in ("mean", "max"):
+        raise InvalidInput(f"mode must be 'mean' or 'max', got {mode!r}")
+    xu = _unit_rows(np.asarray(X3, dtype=np.float64))  # (B, n, d)
+    zu = _unit_rows(np.asarray(Zstack, dtype=np.float64))  # (C, N, d)
+    if mode == "mean":
+        return xu.mean(axis=1) @ zu.mean(axis=1).T
+    bsz, n, d = xu.shape
+    cnum, npr, _ = zu.shape
+    out = np.empty((bsz, cnum))
+    step = max(1, int(2_000_000 // max(1, n * cnum * npr)))
+    for lo in range(0, bsz, step):
+        hi = min(bsz, lo + step)
+        cos = (xu[lo:hi].reshape(-1, d) @ zu.reshape(-1, d).T).reshape(hi - lo, n, cnum, npr)
+        out[lo:hi] = cos.max(axis=3).mean(axis=1)
+    return out

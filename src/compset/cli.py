@@ -29,6 +29,7 @@ from .cka import cka_rc
 from .data import (
     FeatureBatch,
     SynthConfig,
+    json_fields,
     load_dataset,
     read_tensor,
     save_dataset,
@@ -70,11 +71,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_section(obj, section: dict, where: str):
-    known = {f.name for f in dataclasses.fields(obj)}
-    unknown = set(section) - known
-    if unknown:
-        raise UsageError(f"{where}: unknown keys {sorted(unknown)}")
-    return dataclasses.replace(obj, **section)
+    try:
+        return dataclasses.replace(obj, **json_fields(type(obj), section, where))
+    except InvalidInput as e:
+        raise UsageError(str(e)) from None
 
 
 def _flag_values(config_class, args) -> dict:
@@ -160,24 +160,16 @@ def _data_dir(args) -> str:
     raise UsageError(f"--data not given and {DATA_DIR_ENV} is unset")
 
 
-def _load_pair(args) -> tuple[ModelState, dict[int, FeatureBatch], dict[int, FeatureBatch]]:
-    state = load_checkpoint(args.ckpt)
-    ds = load_dataset(_data_dir(args))
-    return state, ds.train, ds.test
+def _load_pair(args) -> tuple[ModelState, dict[int, FeatureBatch]]:
+    """The checkpoint and its dataset's test sets."""
+    return load_checkpoint(args.ckpt), load_dataset(_data_dir(args)).test
 
 
-def _ints(text: str, flag: str) -> list[int]:
+def _numbers(text: str, flag: str, kind=int) -> list:
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise UsageError(f"{flag} wants a comma-separated integer list, got {text!r}") from None
-
-
-def _floats(text: str, flag: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise UsageError(f"{flag} wants a comma-separated float list, got {text!r}") from None
+        raise UsageError(f"{flag} wants a comma-separated {kind.__name__} list, got {text!r}") from None
 
 
 def cmd_gen(args) -> int:
@@ -231,7 +223,7 @@ def cmd_train_inc(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    state, _, test = _load_pair(args)
+    state, test = _load_pair(args)
     report = evaluate_sessions(state, test, args.head)
     out = Path(args.out) if args.out else None
     if out is not None:
@@ -245,7 +237,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     hp, _ = _build_config(args)
     ds = load_dataset(_data_dir(args))
-    results = primitive_count_sweep(ds, _ints(args.n_values, "--n-values"), hp)
+    results = primitive_count_sweep(ds, _numbers(args.n_values, "--n-values"), hp)
     out = Path(args.out)
     _write_json(
         out / "sweep.json",
@@ -259,10 +251,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    state, _, test = _load_pair(args)
+    state, test = _load_pair(args)
     batch = FeatureBatch.concat([test[k] for k in sorted(test)])
     accs = importance_filter_eval(
-        state, batch, _ints(args.keep, "--keep"), rank_by_true_label=args.true_label
+        state, batch, _numbers(args.keep, "--keep"), rank_by_true_label=args.true_label
     )
     out = Path(args.out) if args.out else None
     if out is not None:
@@ -280,9 +272,9 @@ def cmd_importance(args) -> int:
 
 
 def cmd_reuse_eval(args) -> int:
-    state, _, test = _load_pair(args)
+    state, test = _load_pair(args)
     seed = args.seed if args.seed is not None else state.hp.seed
-    points = reuse_retention_eval(state, test, _floats(args.ratios, "--ratios"), seed=seed)
+    points = reuse_retention_eval(state, test, _numbers(args.ratios, "--ratios", float), seed=seed)
     out = Path(args.out) if args.out else None
     if out is not None:
         _write_json(
@@ -296,11 +288,7 @@ def cmd_reuse_eval(args) -> int:
 
 
 def cmd_compare_reps(args) -> int:
-    a = read_tensor(args.rep_a)
-    b = read_tensor(args.rep_b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise InvalidInput("representations must be 2-D (samples x features)")
-    value = cka_rc(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    value = cka_rc(read_tensor(args.rep_a), read_tensor(args.rep_b))
     out = Path(args.out) if args.out else None
     if out is not None:
         _write_json(out / "compare.json", {"cka": value})

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,12 @@ def synth_generate(cfg: SynthConfig) -> SynthDataset:
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "compset-dataset"
+MANIFEST_SCHEMA = {
+    "format": str, "version": int, "seed": int, "config": dict, "pool_file": str,
+    "classes": [{"id": int, "session": int}],
+    "samples": [{"id": str, "path": str, "row": int, "label": int, "session": int, "split": str}],
+    "annotations": {"class_primitives": {int: [int]}, "patches": {str: dict}},
+}
 
 
 def require_key(doc: dict, key: str, where) -> object:
@@ -341,6 +348,44 @@ def require_key(doc: dict, key: str, where) -> object:
     if key not in doc:
         raise InvalidInput(f"{where}: missing required key {key!r}")
     return doc[key]
+
+
+def check_json(value, schema, where, path: str = "$") -> None:
+    """Raise InvalidInput unless a parsed JSON value has the schema's types.
+
+    A schema is int, float, bool or str (a bool is no number; an int passes
+    as a float), [item] for a list, {int: item} or {str: item} for an object
+    keyed by decimal integers or by any string, or a dict of named keys,
+    each checked when present."""
+    if type(value) is schema:  # a leaf of the exact type, the common case
+        return
+    kind = type(schema) if isinstance(schema, (list, dict)) else schema
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise InvalidInput(f"{where}: malformed {path}: expected {kind.__name__}, got {value!r:.60}")
+    if isinstance(schema, list):
+        for i, item in enumerate(value):
+            check_json(item, schema[0], where, f"{path}[{i}]")
+    elif isinstance(schema, dict):
+        any_key = schema.get(int, schema.get(str))
+        for k, item in value.items():
+            if int in schema and not re.fullmatch(r"-?[0-9]+", k):
+                raise InvalidInput(f"{where}: malformed {path}: key {k!r} is not an integer")
+            if any_key is not None or k in schema:
+                check_json(item, schema.get(k, any_key), where, f"{path}.{k}")
+
+
+_FIELD_KINDS = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def json_fields(cls, section, where) -> dict:
+    """A JSON object's settings for dataclass cls, checked: an unknown key
+    or a value whose JSON type is not its field's raises InvalidInput."""
+    kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
+    check_json(section, kinds, where)
+    unknown = set(section) - set(kinds)
+    if unknown:
+        raise InvalidInput(f"{where}: unknown {cls.__name__} keys {sorted(unknown)}")
+    return section
 
 
 def save_dataset(ds: SynthDataset, outdir) -> Path:
@@ -396,24 +441,22 @@ def load_dataset(directory) -> SynthDataset:
         raise InvalidInput(f"{mpath}: manifest is not valid JSON ({e})") from None
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise InvalidInput(f"{mpath}: unrecognized manifest format")
-    known = {f.name for f in SynthConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    cfg_raw = dict(require_key(manifest, "config", mpath))
-    unknown = set(cfg_raw) - known
-    if unknown:
-        raise InvalidInput(f"{mpath}: unknown config keys {sorted(unknown)}")
-    cfg = SynthConfig(**cfg_raw)
+    check_json(manifest, MANIFEST_SCHEMA, mpath)
+    cfg = SynthConfig(**json_fields(SynthConfig, require_key(manifest, "config", mpath), mpath))
     cfg.validate()
     pool = read_tensor(root / manifest.get("pool_file", "pool.ckat")).astype(np.float64)
     classes = require_key(manifest, "classes", mpath)
     samples = require_key(manifest, "samples", mpath)
     ann = manifest.get("annotations", {})
-    class_primitives = {int(c): list(map(int, v)) for c, v in ann.get("class_primitives", {}).items()}
+    class_primitives = {int(c): v for c, v in ann.get("class_primitives", {}).items()}
     try:
-        class_sessions = {int(e["id"]): int(e["session"]) for e in classes}
+        class_sessions = {e["id"]: e["session"] for e in classes}
         grouped: dict[tuple[int, str], list[dict]] = {}
         for s in samples:
-            grouped.setdefault((int(s["session"]), s["split"]), []).append(s)
-    except (KeyError, TypeError) as e:
+            if s["split"] not in ("train", "test"):
+                raise InvalidInput(f"{mpath}: sample split {s['split']!r} is neither train nor test")
+            grouped.setdefault((s["session"], s["split"]), []).append(s)
+    except KeyError as e:
         raise InvalidInput(f"{mpath}: malformed class or sample entry ({e!r})") from None
     ds = SynthDataset(
         config=cfg,

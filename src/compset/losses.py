@@ -63,8 +63,8 @@ class Hyperparams:
             raise InvalidInput("alpha must be in (0, 1]")
         if not self.gamma > 0:
             raise InvalidInput("gamma must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise InvalidInput("loss weights must be >= 0")
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0 and self.init_sigma >= 0):
+            raise InvalidInput("loss weights and init_sigma must be >= 0")
         if not self.lr > 0:
             raise InvalidInput("lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -144,36 +144,19 @@ def _cls_core(X3, label_idx, W, tau):
     return loss, dW
 
 
-def _score_grad_wrt_blocks(prod, num, a, b, Xc, Zc, dscore):
-    """Chain d(loss)/d(scores) back to the raw primitive blocks.
-
-    For one pair, with C = Xc Zc^T, B = Zc Zc^T, a = ||Xc Xc^T||_F and
-    b = ||B||_F:  d sim/d Zc = (2/(a b)) (C^T Xc - (num/b^2) B Zc); the row
-    centering then projects the gradient back through J.
-    """
-    coef = dscore * (2.0 / (a[:, None] * b[None, :]))  # (B, K)
-    pw = prod * coef[:, None, :, None]  # (B, n, K, N)
-    t1 = np.tensordot(pw, Xc, axes=([0, 1], [0, 1]))  # (K, N, d)
-    s2 = (coef * num).sum(axis=0) / (b * b)  # (K,)
-    bb = Zc @ Zc.transpose(0, 2, 1)  # (K, N, N)
-    dZc = t1 - s2[:, None, None] * (bb @ Zc)
-    return dZc - dZc.mean(axis=2, keepdims=True)  # through row centering
-
-
-def _scores_with_class_errors(X3, Zstack, alpha, class_ids):
+def _scores_with_class_errors(X3, Zstack, alpha, class_ids, with_vjp=False):
     """Stack scoring that reports degenerate blocks by registered class id
-    (the stack itself only knows block positions)."""
+    (the stack itself only knows block positions).  No class gives (B, 0)
+    without the kernel, which would still transform the whole batch."""
+    if not class_ids:
+        return np.empty((X3.shape[0], 0))
     try:
-        return composition_scores_stack(
-            X3, Zstack, alpha, on_degenerate="raise", _return_internals=True
-        )
+        return composition_scores_stack(X3, Zstack, alpha, on_degenerate="raise", _with_vjp=with_vjp)
     except DegenerateSet as e:
         if e.class_id is None:
             raise
         c = class_ids[e.class_id]
-        raise DegenerateSet(
-            f"class {c}: primitive block centers to zero", class_id=c
-        ) from None
+        raise DegenerateSet(f"class {c}: primitive block centers to zero", class_id=c) from None
 
 
 def _ids(bank: PrimitiveBank, mask: np.ndarray) -> list[int]:
@@ -192,10 +175,9 @@ def _head_core(X3, label_idx, Zlive, live, fixed, tau, alpha, live_ids):
     scores[:, ~live] = fixed
     if not live.any():
         return _ce_rows(tau * scores, label_idx)[0], None
-    internals = _scores_with_class_errors(X3, Zlive, alpha, live_ids)
-    scores[:, live] = internals[0]
+    scores[:, live], vjp = _scores_with_class_errors(X3, Zlive, alpha, live_ids, with_vjp=True)
     loss, dlogit = _ce_rows(tau * scores, label_idx)
-    return loss, _score_grad_wrt_blocks(*internals[1:], tau * dlogit[:, live])
+    return loss, vjp(tau * dlogit[:, live])
 
 
 def _replacement_backward(bank, rb: ReplacedBank, dZhat, gamma, stop_attention_grad):
@@ -252,22 +234,16 @@ def _replaced_live(bank: PrimitiveBank, donor_map, tz: np.ndarray) -> np.ndarray
     )
 
 
-def _fixed_scores(X3, Zstack, alpha, class_ids) -> np.ndarray:
-    if not class_ids:
-        return np.empty((X3.shape[0], 0))
-    return _scores_with_class_errors(X3, Zstack, alpha, class_ids)[0]
-
-
 def _fixed_columns(X3, bank, donor_map, hp: Hyperparams, tz):
     """(live replaced columns, fixed cmp scores, fixed rcmp scores); a head
     whose loss weight is 0 gets None."""
     live_rcmp = _replaced_live(bank, donor_map, tz)
     cmp = rcmp = None
     if hp.lambda1 != 0.0:
-        cmp = _fixed_scores(X3, bank.Z[~tz], hp.alpha, _ids(bank, ~tz))
+        cmp = _scores_with_class_errors(X3, bank.Z[~tz], hp.alpha, _ids(bank, ~tz))
     if hp.lambda2 != 0.0:
         rb = build_replaced(bank, donor_map, hp.gamma, _ids(bank, ~live_rcmp))
-        rcmp = _fixed_scores(X3, rb.Z_hat, hp.alpha, rb.class_ids)
+        rcmp = _scores_with_class_errors(X3, rb.Z_hat, hp.alpha, rb.class_ids)
     return live_rcmp, cmp, rcmp
 
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cka import composition_scores_stack, patch_importance, power_transform
+from .cka import composition_scores_stack, cosine_scores_stack, patch_importance, power_transform
 from .data import FeatureBatch, SynthDataset
 from .errors import DegenerateInput, InvalidInput
 from .losses import Hyperparams
@@ -121,11 +121,6 @@ def performance_drop(overalls) -> float:
     return round(vals[0] - vals[-1], 2)
 
 
-def _safe_unit_rows(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=-1, keepdims=True)
-    return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0)
-
-
 def score_matrix(state: ModelState, X3: np.ndarray, head: str = "composition") -> np.ndarray:
     """(B, C) scores of every map against every registered class.
 
@@ -139,24 +134,9 @@ def score_matrix(state: ModelState, X3: np.ndarray, head: str = "composition") -
         raise InvalidInput("maps contain non-finite values")
     if head == "composition":
         return composition_scores_stack(X3, state.bank.Z, state.hp.alpha, on_degenerate="zero")
-    if head == "baseline":
-        f = _safe_unit_rows(X3.mean(axis=1))
-        w = _safe_unit_rows(state.weights.W)
-        return f @ w.T
-    xu = _safe_unit_rows(X3)  # (B, n, d)
-    zu = _safe_unit_rows(state.bank.Z)  # (C, N, d)
-    if head == "allmatch":
-        # mean over all pairs == dot of the averaged unit rows
-        return xu.mean(axis=1) @ zu.mean(axis=1).T
-    bsz, n, d = xu.shape
-    cnum, npr, _ = zu.shape
-    out = np.empty((bsz, cnum))
-    step = max(1, int(2_000_000 // max(1, n * cnum * npr)))
-    for lo in range(0, bsz, step):
-        hi = min(bsz, lo + step)
-        cos = (xu[lo:hi].reshape(-1, d) @ zu.reshape(-1, d).T).reshape(hi - lo, n, cnum, npr)
-        out[lo:hi] = cos.max(axis=3).mean(axis=1)
-    return out
+    if head == "baseline":  # one row a side: mean patch feature against weight row
+        return cosine_scores_stack(X3.mean(axis=1)[:, None], state.weights.W[:, None])
+    return cosine_scores_stack(X3, state.bank.Z, "mean" if head == "allmatch" else "max")
 
 
 def evaluate_sessions(
@@ -309,8 +289,7 @@ def retrieval_export(state: ModelState, batch: FeatureBatch, top_k: int = 5) -> 
         c = int(batch.labels[i])
         xt = power_transform(X3[i], state.hp.alpha)
         imp = patch_importance(xt, state.bank.Z[col_of[c]])
-        for p in range(len(imp)):
-            per_class[c].append((float(imp[p]), p, batch.sample_ids[i]))
+        per_class[c].extend((float(v), p, batch.sample_ids[i]) for p, v in enumerate(imp))
     patches = {}
     for c, triples in per_class.items():
         if not triples:
@@ -322,32 +301,23 @@ def retrieval_export(state: ModelState, batch: FeatureBatch, top_k: int = 5) -> 
     z = state.bank.Z
     cnum, npr, _ = z.shape
     flat = z.reshape(cnum * npr, -1)
-    # ||a - b||^2 via the Gram expansion; the direct difference tensor would
-    # need (C N)^2 d memory
     sq = np.einsum("ij,ij->i", flat, flat)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)
-    np.maximum(d2, 0.0, out=d2)
-    owner = np.repeat(np.arange(cnum), npr)
-    pairings = {}
-    for ci, c in enumerate(state.bank.class_ids):
-        rows = np.flatnonzero(owner == ci)
-        cols = np.flatnonzero(owner != ci)
-        if len(cols) == 0:
-            pairings[str(c)] = []
-            continue
-        sub = d2[np.ix_(rows, cols)]
-        entries = []
-        for r in range(len(rows)):
-            j = int(np.argmin(sub[r]))
-            other = int(cols[j])
-            entries.append(
-                {
-                    "primitive": r,
-                    "nearest_class": int(state.bank.class_ids[owner[other]]),
-                    "nearest_primitive": int(other % npr),
-                    "distance": float(np.sqrt(sub[r, j])),
-                }
-            )
+    pairings = {str(c): [] for c in state.bank.class_ids}
+    for ci, c in enumerate(state.bank.class_ids if cnum > 1 else []):
+        # one class's rows against every row, ||a - b||^2 via the Gram
+        # expansion: neither a (C N)^2 table nor the (C N)^2 d difference
+        # tensor is ever built; own rows are excluded as +inf
+        own = slice(ci * npr, (ci + 1) * npr)
+        d2 = sq[own, None] + sq[None, :] - 2.0 * (flat[own] @ flat.T)
+        np.maximum(d2, 0.0, out=d2)
+        d2[:, own] = np.inf
+        nearest = np.argmin(d2, axis=1)  # ties go to the lowest row
+        dist = np.sqrt(d2[np.arange(npr), nearest])
+        entries = [
+            {"primitive": r, "nearest_class": int(state.bank.class_ids[j // npr]),
+             "nearest_primitive": int(j % npr), "distance": float(dist[r])}
+            for r, j in enumerate(nearest)
+        ]
         entries.sort(key=lambda e: e["distance"])
         pairings[str(c)] = entries[:top_k]
     return {"top_patches": patches, "nearest_primitives": pairings}

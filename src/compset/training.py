@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureBatch, read_tensor, require_key, write_atomic, write_tensor
+from .data import FeatureBatch, check_json, json_fields, read_tensor, require_key, write_atomic, write_tensor
 from .errors import DegenerateInput, InsufficientData, InvalidInput
 from .losses import (
     ClassifierWeights,
@@ -268,6 +268,11 @@ def train_incremental(state: ModelState, shots: FeatureBatch, hp: Hyperparams | 
 
 CHECKPOINT_STATE = "state.json"
 CHECKPOINT_FORMAT = "compset-checkpoint"
+CHECKPOINT_SCHEMA = {
+    "format": str, "version": int, "hyperparams": dict, "class_ids": [int], "frozen_z": [int],
+    "frozen_w": [int], "sessions_seen": int, "class_sessions": {int: int},
+    "loss_history": {int: [float]}, "rng": {"root_seed": int},
+}
 
 
 def save_checkpoint(state: ModelState, directory) -> Path:
@@ -305,12 +310,8 @@ def load_checkpoint(directory) -> ModelState:
         raise InvalidInput(f"{spath}: checkpoint is not valid JSON ({e})") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT or doc.get("version") != 1:
         raise InvalidInput(f"{spath}: not a version-1 checkpoint")
-    known = {f for f in Hyperparams.__dataclass_fields__}
-    hp_raw = dict(require_key(doc, "hyperparams", spath))
-    unknown = set(hp_raw) - known
-    if unknown:
-        raise InvalidInput(f"{spath}: unknown hyperparams {sorted(unknown)}")
-    hp = Hyperparams(**hp_raw)
+    check_json(doc, CHECKPOINT_SCHEMA, spath)
+    hp = Hyperparams(**json_fields(Hyperparams, require_key(doc, "hyperparams", spath), spath))
     hp.validate()
     Z = read_tensor(root / "bank.ckat").astype(np.float64)
     W = read_tensor(root / "weights.ckat").astype(np.float64)
@@ -320,15 +321,15 @@ def load_checkpoint(directory) -> ModelState:
         raise InvalidInput(
             f"{root}: weights.ckat has shape {W.shape}, want (C, {Z.shape[2]}) to match bank.ckat"
         )
-    ids = [int(c) for c in require_key(doc, "class_ids", spath)]
+    if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(W))):
+        raise InvalidInput(f"{root}: bank.ckat or weights.ckat holds non-finite values")
+    ids = require_key(doc, "class_ids", spath)
     bank = PrimitiveBank(ids, Z, np.array(require_key(doc, "frozen_z", spath), dtype=bool))
     weights = ClassifierWeights(ids, W, np.array(require_key(doc, "frozen_w", spath), dtype=bool))
-    class_sessions = {
-        int(c): int(s) for c, s in require_key(doc, "class_sessions", spath).items()
-    }
+    class_sessions = {int(c): s for c, s in require_key(doc, "class_sessions", spath).items()}
     if sorted(class_sessions) != ids:
         raise InvalidInput(f"{spath}: class_sessions disagrees with class_ids")
-    sessions_seen = int(require_key(doc, "sessions_seen", spath))
+    sessions_seen = require_key(doc, "sessions_seen", spath)
     if sessions_seen != 1 + max(class_sessions.values(), default=-1):
         raise InvalidInput(f"{spath}: sessions_seen {sessions_seen} disagrees with class_sessions")
     return ModelState(

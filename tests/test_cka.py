@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from compset import (
     InvalidInput,
     allmatch_similarity,
     center_rows,
+    central_diff_grad,
     cka_rc,
     composition_scores_stack,
     linear_cka,
@@ -14,7 +17,8 @@ from compset import (
     patch_importance,
     power_transform,
 )
-from util import center_oracle, cka_oracle, cka_rc_oracle, power_oracle, random_pair
+from compset.cka import cosine_scores_stack
+from util import center_oracle, cka_oracle, cka_rc_oracle, cosine_oracle, power_oracle, random_pair
 
 
 class TestCenterRows:
@@ -288,10 +292,31 @@ class TestCkaRc:
             cka_rc([[1.0, 0.0]], [[1.0, 0.0]])  # b < 2
         with pytest.raises(InvalidInput):
             cka_rc(np.eye(3), np.eye(4))
-        with pytest.raises(InvalidInput):
-            cka_rc(np.eye(3), np.eye(3), kernel="rbf")
         with pytest.raises(DegenerateSet):
             cka_rc(np.ones((3, 2)), np.eye(3))  # constant representation
+
+    def test_is_linear_cka_of_the_transposes_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            nb = int(rng.integers(2, 40))
+            a = rng.standard_normal((nb, int(rng.integers(1, 9))))
+            b = rng.standard_normal((nb, int(rng.integers(1, 9))))
+            assert cka_rc(a, b) == linear_cka(a.T, b.T)
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        # the feature-space form needs O(p q + (p + q) b) memory; a b x b
+        # Gram alone would take 32 MB at b = 2000
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((2000, 8))
+        b = np.tanh(a @ rng.standard_normal((8, 8)))
+        tracemalloc.start()
+        try:
+            value = cka_rc(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(cka_rc_oracle(a, b), abs=1e-9)
+        assert peak < 4 * 2**20
 
 
 class TestBatchedScores:
@@ -303,7 +328,7 @@ class TestBatchedScores:
             got = composition_scores_stack(x3, zs, alpha)
             for b in range(6):
                 for k in range(4):
-                    want = linear_cka(power_transform(x3[b], alpha), zs[k])
+                    want = cka_oracle(power_oracle(x3[b], alpha), zs[k])
                     assert got[b, k] == pytest.approx(want, abs=1e-12)
 
     def test_zero_policy(self):
@@ -314,3 +339,60 @@ class TestBatchedScores:
         out = composition_scores_stack(x3, zs, 1.0, on_degenerate="zero")
         np.testing.assert_array_equal(out[0], np.zeros(2))
         assert np.all(out[1] > 0.0)
+
+    def test_vjp_matches_central_differences(self):
+        rng = np.random.default_rng(25)
+        x3 = rng.standard_normal((3, 4, 5))
+        zs = rng.standard_normal((2, 3, 5))
+        w = rng.standard_normal((3, 2))
+        scores, vjp = composition_scores_stack(x3, zs, 0.8, _with_vjp=True)
+        np.testing.assert_array_equal(scores, composition_scores_stack(x3, zs, 0.8))
+
+        def loss(theta):
+            return float((w * composition_scores_stack(x3, theta.reshape(zs.shape), 0.8)).sum())
+
+        want = central_diff_grad(loss, zs.ravel()).reshape(zs.shape)
+        np.testing.assert_allclose(vjp(w), want, atol=1e-7)
+
+    def test_vjp_passes_nothing_through_degenerate_pairs(self):
+        rng = np.random.default_rng(26)
+        x3 = rng.standard_normal((2, 3, 4))
+        x3[0] = 1.0  # map 0 centers to zero
+        zs = rng.standard_normal((2, 2, 4))
+        zs[1] = 2.0  # block 1 centers to zero
+        scores, vjp = composition_scores_stack(x3, zs, 1.0, on_degenerate="zero", _with_vjp=True)
+        g = vjp(np.ones_like(scores))
+        np.testing.assert_array_equal(g[1], np.zeros((2, 4)))
+        alone = composition_scores_stack(x3[1:], zs[:1], 1.0, _with_vjp=True)[1]
+        np.testing.assert_allclose(g[0], alone(np.ones((1, 1)))[0], atol=1e-15)
+
+
+class TestCosineScores:
+    def test_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(27)
+        x3 = rng.standard_normal((4, 5, 6))
+        zs = rng.standard_normal((3, 2, 6))
+        mean = cosine_scores_stack(x3, zs, "mean")
+        best = cosine_scores_stack(x3, zs, "max")
+        for b in range(4):
+            for k in range(3):
+                cos = np.array([[cosine_oracle(x, z) for z in zs[k]] for x in x3[b]])
+                assert mean[b, k] == pytest.approx(cos.mean(), abs=1e-12)
+                assert best[b, k] == pytest.approx(cos.max(axis=1).mean(), abs=1e-12)
+
+    def test_one_pair_is_allmatch_similarity(self):
+        rng = np.random.default_rng(28)
+        x, z = random_pair(rng, n=5, big_n=3, d=7)
+        for mode in ("mean", "max"):
+            got = cosine_scores_stack(x[None], z[None], mode)[0, 0]
+            assert allmatch_similarity(x, z, mode) == got
+
+    def test_zero_rows_count_as_cosine_zero(self):
+        x3 = np.array([[[0.0, 0.0], [1.0, 0.0]]])
+        zs = np.array([[[1.0, 0.0]]])
+        np.testing.assert_array_equal(cosine_scores_stack(x3, zs, "mean"), [[0.5]])
+        np.testing.assert_array_equal(cosine_scores_stack(x3, zs, "max"), [[0.5]])
+
+    def test_bad_mode(self):
+        with pytest.raises(InvalidInput):
+            cosine_scores_stack(np.ones((1, 1, 2)), np.ones((1, 1, 2)), "sum")

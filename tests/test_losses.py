@@ -20,7 +20,7 @@ from compset import (
     total_loss_and_grad,
     train_base,
 )
-from compset.losses import _replacement_backward, _score_grad_wrt_blocks
+from compset.losses import _replacement_backward
 from compset.seeding import seed_sequence
 from util import (
     cka_oracle,

@@ -1,5 +1,6 @@
 """Tests for session evaluation, ablation tooling, and the benchmark."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -494,6 +495,46 @@ class TestRetrievalExport:
         )
         with pytest.raises(InvalidInput, match="not registered"):
             retrieval_export(state, bad)
+
+    def test_pairing_ties_go_to_the_lowest_row(self):
+        # class 0's primitive is 1 away from class 1's second row and class
+        # 2's first row alike; the lower flat row (class 1) wins
+        Z = np.array([[[0.0, 0.0], [9.0, -9.0]], [[5.0, 5.0], [1.0, 0.0]], [[0.0, 1.0], [7.0, 7.0]]])
+        st = ModelState(
+            bank=PrimitiveBank([0, 1, 2], Z, np.ones(3, dtype=bool)),
+            weights=ClassifierWeights([0, 1, 2], Z.mean(axis=1), np.ones(3, dtype=bool)),
+            hp=Hyperparams(),
+            sessions_seen=1,
+            class_sessions={0: 0, 1: 0, 2: 0},
+            loss_history={0: []},
+        )
+        batch = FeatureBatch(X=np.array([[[1.0, 0.0], [0.0, 2.0]]]), labels=[0], sessions=[0], sample_ids=["s"])
+        first = retrieval_export(st, batch, top_k=1)["nearest_primitives"]["0"][0]
+        assert first == {"primitive": 0, "nearest_class": 1, "nearest_primitive": 1, "distance": 1.0}
+
+    def test_pairing_memory_stays_per_class(self):
+        # 125 classes x 16 primitives: the full distance table would hold
+        # 2000^2 floats (32 MB); one class's rows against all hold 256 KB
+        rng = np.random.default_rng(22)
+        ids = list(range(125))
+        Z = rng.standard_normal((125, 16, 8))
+        st = ModelState(
+            bank=PrimitiveBank(ids, Z, np.ones(125, dtype=bool)),
+            weights=ClassifierWeights(ids, Z.mean(axis=1), np.ones(125, dtype=bool)),
+            hp=Hyperparams(n_primitives=16),
+            sessions_seen=1,
+            class_sessions={c: 0 for c in ids},
+            loss_history={0: []},
+        )
+        batch = FeatureBatch(X=np.abs(Z[:2, :4]), labels=[0, 1], sessions=[0, 0], sample_ids=["a", "b"])
+        tracemalloc.start()
+        try:
+            doc = retrieval_export(st, batch, top_k=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(doc["nearest_primitives"]) == 125
+        assert peak < 4 * 2**20
 
     def test_pairing_distances_match_direct_computation(self):
         # the export computes ||a - b||^2 through the Gram expansion; check

@@ -21,7 +21,7 @@ from compset import (
     sgd_step,
     total_loss_and_grad,
 )
-from compset.losses import _ce_rows, _cls_core, _replacement_backward, _score_grad_wrt_blocks
+from compset.losses import _ce_rows, _cls_core, _replacement_backward
 from compset.training import _mean_feature_rows
 
 
@@ -161,9 +161,9 @@ def total_loss_and_grad_unsplit(
     tw = ~weights.frozen if trainable_w is None else np.asarray(trainable_w, dtype=bool)
 
     def head(Zstack):
-        scores, *internals = composition_scores_stack(X3, Zstack, hp.alpha, _return_internals=True)
+        scores, vjp = composition_scores_stack(X3, Zstack, hp.alpha, _with_vjp=True)
         loss, dlogit = _ce_rows(hp.tau * scores, label_idx)
-        return loss, _score_grad_wrt_blocks(*internals, hp.tau * dlogit)
+        return loss, vjp(hp.tau * dlogit)
 
     total = 0.0
     dW = np.zeros_like(weights.W)
