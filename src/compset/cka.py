@@ -24,10 +24,12 @@ which apportion one pair's score exactly, keep a single-pair path.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
-from .errors import DegenerateInput, DegenerateSet, InvalidInput
-from .numkit import Matrix, as_matrix
+from .errors import DegenerateInput, DegenerateSet, InvalidInput, NumericalFailure
+from .numkit import _BLOCK_BYTES, Matrix, _row_step, as_matrix
 
 
 def _set_matrix(X, name: str) -> Matrix:
@@ -195,9 +197,12 @@ def composition_scores_stack(
     X3 is (B, n, d) raw maps, Zstack is (C, N, d) raw primitive blocks; the
     result is (B, C).  ``on_degenerate`` chooses between raising
     DegenerateSet and scoring the offending pairs 0.0 (evaluation policy).
-    The heavy product runs as one GEMM over (B*n, d) x (d, C*N).  With
-    ``_with_vjp`` the result is ``(scores, vjp)``, where ``vjp`` maps
-    d(loss)/d(scores) (B, C) to d(loss)/d(Zstack) (C, N, d).
+    The heavy product runs as GEMMs over (b*n, d) x (d, c*N), b maps
+    against c classes at a time, so each block of the product stays within
+    the byte budget.  A non-finite a, b or score (finite inputs whose Gram
+    overflows) raises NumericalFailure.  With ``_with_vjp`` the result is
+    ``(scores, vjp)``, where ``vjp`` maps d(loss)/d(scores) (B, C) to
+    d(loss)/d(Zstack) (C, N, d); the whole batch is then one block.
     """
     if on_degenerate not in ("raise", "zero"):
         raise InvalidInput("on_degenerate must be 'raise' or 'zero'")
@@ -211,23 +216,47 @@ def composition_scores_stack(
         raise DegenerateInput("need at least 2 channels to center")
     bsz, n, d = X3.shape
     ncls, npr, _ = Zs.shape
-    Xc = center_stack(power_transform_stack(X3, alpha))
-    Zc = center_stack(Zs)
-    a = gram_frobenius_stack(Xc)
-    b = gram_frobenius_stack(Zc)
-    bad_a = a == 0.0
-    bad_b = b == 0.0
-    if on_degenerate == "raise":
-        if np.any(bad_a):
-            raise DegenerateSet(f"map {int(np.argmax(bad_a))} centers to zero")
-        if np.any(bad_b):
-            idx = int(np.argmax(bad_b))
-            raise DegenerateSet(f"class block {idx} centers to zero", class_id=idx)
-    a = np.where(bad_a, 1.0, a)
-    b = np.where(bad_b, 1.0, b)
-    prod = (Xc.reshape(bsz * n, d) @ Zc.reshape(ncls * npr, d).T).reshape(bsz, n, ncls, npr)
-    num = np.einsum("bnkm,bnkm->bk", prod, prod)
-    scores = num / (a[:, None] * b[None, :])
+    # a finite map can still overflow its Gram or the product: under
+    # ignored warnings every non-finite a, b or score is caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xc = center_stack(power_transform_stack(X3, alpha))
+        Zc = center_stack(Zs)
+        a = gram_frobenius_stack(Xc)
+        b = gram_frobenius_stack(Zc)
+        bad_a = a == 0.0
+        bad_b = b == 0.0
+        if on_degenerate == "raise":
+            if np.any(bad_a):
+                raise DegenerateSet(f"map {int(np.argmax(bad_a))} centers to zero")
+            if np.any(bad_b):
+                idx = int(np.argmax(bad_b))
+                raise DegenerateSet(f"class block {idx} centers to zero", class_id=idx)
+        a = np.where(bad_a, 1.0, a)
+        b = np.where(bad_b, 1.0, b)
+        # the (B, n, C, N) product in blocks of maps x classes, each one
+        # GEMM of about square shape into one buffer of at most the byte
+        # budget; training's vjp reuses the whole product, so it takes one
+        # block.  An empty batch or bank still makes one (empty) block.
+        if _with_vjp:
+            mb, cb = max(bsz, 1), max(ncls, 1)
+        else:
+            mb = max(1, min(bsz, isqrt(_BLOCK_BYTES // 8) // n))
+            cb = max(1, min(ncls, _row_step(8 * mb * n * npr)))
+        zf = Zc.reshape(ncls * npr, d)
+        buf = np.empty(mb * n * cb * npr)
+        num = np.empty((bsz, ncls))
+        for c0 in range(0, max(ncls, 1), cb):
+            zt = zf[c0 * npr : (c0 + cb) * npr].T
+            nc = zt.shape[1] // npr
+            for b0 in range(0, max(bsz, 1), mb):
+                xb = Xc[b0 : b0 + mb]
+                rows, cols = len(xb) * n, nc * npr
+                prod = np.matmul(xb.reshape(rows, d), zt, out=buf[: rows * cols].reshape(rows, cols))
+                prod = prod.reshape(len(xb), n, nc, npr)
+                num[b0 : b0 + mb, c0 : c0 + cb] = np.einsum("bnkm,bnkm->bk", prod, prod)
+        scores = num / (a[:, None] * b[None, :])
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(scores).all()):
+        raise NumericalFailure("composition scores overflow: a map or block is too large to score")
     if np.any(bad_a) or np.any(bad_b):
         scores[bad_a, :] = 0.0
         scores[:, bad_b] = 0.0
@@ -270,7 +299,7 @@ def cosine_scores_stack(X3: np.ndarray, Zstack: np.ndarray, mode: str = "mean") 
     bsz, n, d = xu.shape
     cnum, npr, _ = zu.shape
     out = np.empty((bsz, cnum))
-    step = max(1, int(2_000_000 // max(1, n * cnum * npr)))
+    step = _row_step(8 * n * cnum * npr)
     for lo in range(0, bsz, step):
         hi = min(bsz, lo + step)
         cos = (xu[lo:hi].reshape(-1, d) @ zu.reshape(-1, d).T).reshape(hi - lo, n, cnum, npr)

@@ -7,6 +7,12 @@ an attention-weighted mixture of *donor* primitives (softmax over negative
 squared distances); at sharp attention this degenerates to copying the
 nearest donor, which is also available directly as a hard, ratio-
 controlled edit used by the reuse analysis.
+
+Both nearest-row searches here, the Lloyd assignment of k-means init and
+the hard replacement, go through ``numkit._nearest_rows``: GEMM-form
+distances over blocks of query rows under a byte budget, with each row's
+near-minimal candidates recomputed as the plain squared difference, so
+argmins, lowest-index ties and copied bytes equal a brute-force search.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InsufficientData, InvalidInput
-from .numkit import as_matrix, softmax_rows
+from .numkit import _nearest_rows, as_matrix, softmax_rows
 from .seeding import substream
 
 
@@ -94,8 +100,7 @@ def kmeans_centers(points, k: int, rng: np.random.Generator, iters: int = 100) -
     centers = pts[chosen].copy()
 
     for _ in range(iters):
-        dist = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = dist.argmin(axis=1)
+        assign, dmin = _nearest_rows(pts, centers)
         new = centers.copy()
         taken: set[int] = set()
         for j in range(k):
@@ -104,7 +109,7 @@ def kmeans_centers(points, k: int, rng: np.random.Generator, iters: int = 100) -
                 new[j] = pts[sel].mean(axis=0)
             else:
                 # empty cluster: seize the point farthest from every center
-                far = np.argsort(-dist.min(axis=1))
+                far = np.argsort(-dmin)
                 pick = next(int(i) for i in far if int(i) not in taken)
                 taken.add(pick)
                 new[j] = pts[pick]
@@ -287,14 +292,14 @@ def hard_nearest_replace(
         raise InvalidInput(f"classes cannot be both target and donor: {sorted(overlap)}")
     out = bank.copy()
     n_swap = int(np.ceil(ratio * bank.n_primitives))
-    if n_swap == 0:
+    if n_swap == 0 or not targets:
         return out
     pool = np.concatenate([bank.Z[bank.index_of(c)] for c in donors], axis=0)
-    for c in targets:
-        i = bank.index_of(c)
-        rng = substream(seed, "replace", c)
-        picks = np.sort(rng.choice(bank.n_primitives, size=n_swap, replace=False))
-        for p in picks:
-            d2 = ((pool - bank.Z[i, p]) ** 2).sum(axis=1)
-            out.Z[i, p] = pool[int(np.argmin(d2))]
+    blocks = np.repeat([bank.index_of(c) for c in targets], n_swap)
+    picks = np.concatenate([
+        np.sort(substream(seed, "replace", c).choice(bank.n_primitives, size=n_swap, replace=False))
+        for c in targets
+    ])
+    nearest, _ = _nearest_rows(bank.Z[blocks, picks], pool)
+    out.Z[blocks, picks] = pool[nearest]
     return out

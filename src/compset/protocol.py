@@ -18,6 +18,7 @@ from .cka import composition_scores_stack, cosine_scores_stack, patch_importance
 from .data import FeatureBatch, SynthDataset
 from .errors import DegenerateInput, InvalidInput
 from .losses import Hyperparams
+from .numkit import _nearest_rows
 from .primitives import hard_nearest_replace
 from .seeding import seed_sequence
 from .training import ModelState, train_base, train_incremental
@@ -125,7 +126,9 @@ def score_matrix(state: ModelState, X3: np.ndarray, head: str = "composition") -
     """(B, C) scores of every map against every registered class.
 
     Non-finite maps raise InvalidInput: one NaN would turn a whole score
-    row into NaN, which argmax reads as a vote for the first class.
+    row into NaN, which argmax reads as a vote for the first class.  For
+    the same reason a finite map that overflows the composition kernel
+    raises NumericalFailure.
     """
     if head not in HEADS:
         raise InvalidInput(f"head must be one of {HEADS}, got {head!r}")
@@ -301,18 +304,15 @@ def retrieval_export(state: ModelState, batch: FeatureBatch, top_k: int = 5) -> 
     z = state.bank.Z
     cnum, npr, _ = z.shape
     flat = z.reshape(cnum * npr, -1)
-    sq = np.einsum("ij,ij->i", flat, flat)
+    owner = np.repeat(np.arange(cnum), npr)
     pairings = {str(c): [] for c in state.bank.class_ids}
     for ci, c in enumerate(state.bank.class_ids if cnum > 1 else []):
-        # one class's rows against every row, ||a - b||^2 via the Gram
-        # expansion: neither a (C N)^2 table nor the (C N)^2 d difference
-        # tensor is ever built; own rows are excluded as +inf
-        own = slice(ci * npr, (ci + 1) * npr)
-        d2 = sq[own, None] + sq[None, :] - 2.0 * (flat[own] @ flat.T)
-        np.maximum(d2, 0.0, out=d2)
-        d2[:, own] = np.inf
-        nearest = np.argmin(d2, axis=1)  # ties go to the lowest row
-        dist = np.sqrt(d2[np.arange(npr), nearest])
+        # one class's rows against every other class's rows, as the exact
+        # difference ||a - b||^2 with ties to the lowest row; the distance
+        # table is never larger than one class's rows against all
+        own = owner == ci
+        nearest, d2 = _nearest_rows(flat[own], flat, skip=own)
+        dist = np.sqrt(d2)
         entries = [
             {"primitive": r, "nearest_class": int(state.bank.class_ids[j // npr]),
              "nearest_primitive": int(j % npr), "distance": float(dist[r])}
@@ -348,15 +348,19 @@ def reuse_retention_eval(
     full = FeatureBatch.concat(novel_batches) if len(novel_batches) > 1 else novel_batches[0]
     if len(full) == 0:
         raise InvalidInput("novel-session test sets are empty")
+    X3 = np.asarray(full.X, dtype=np.float64)
+    if not np.all(np.isfinite(X3)):
+        raise InvalidInput("maps contain non-finite values")
     novel_cols = np.array([state.bank.class_ids.index(c) for c in sorted(novel_ids)])
     col_of = {c: j for j, c in enumerate(sorted(novel_ids))}
     truth = np.array([col_of[int(c)] for c in full.labels])
 
-    def novel_acc(st: ModelState) -> float:
-        sc = score_matrix(st, full.X, "composition")[:, novel_cols]
+    def novel_acc(Z: np.ndarray) -> float:
+        # only the novel blocks compete, so only they are scored
+        sc = composition_scores_stack(X3, Z[novel_cols], state.hp.alpha, on_degenerate="zero")
         return 100.0 * float(np.mean(np.argmax(sc, axis=1) == truth))
 
-    original = novel_acc(state)
+    original = novel_acc(state.bank.Z)
     if original <= 0.0:
         raise DegenerateInput("original novel accuracy is zero; retention undefined")
     out = []
@@ -368,15 +372,7 @@ def reuse_retention_eval(
         if r == 0.0:  # nothing was replaced
             out.append(ReusePoint(ratio=r, novel_accuracy=original, retention=100.0))
             continue
-        st = ModelState(
-            bank=bank_r,
-            weights=state.weights,
-            hp=state.hp,
-            sessions_seen=state.sessions_seen,
-            class_sessions=state.class_sessions,
-            loss_history=state.loss_history,
-        )
-        acc = novel_acc(st)
+        acc = novel_acc(bank_r.Z)
         out.append(ReusePoint(ratio=r, novel_accuracy=acc, retention=100.0 * acc / original))
     return out
 

@@ -7,6 +7,7 @@ from compset import (
     DegenerateInput,
     DegenerateSet,
     InvalidInput,
+    NumericalFailure,
     allmatch_similarity,
     center_rows,
     central_diff_grad,
@@ -18,7 +19,16 @@ from compset import (
     power_transform,
 )
 from compset.cka import cosine_scores_stack
-from util import center_oracle, cka_oracle, cka_rc_oracle, cosine_oracle, power_oracle, random_pair
+from compset.numkit import _BLOCK_BYTES
+from util import (
+    center_oracle,
+    cka_oracle,
+    cka_rc_oracle,
+    composition_scores_unchunked,
+    cosine_oracle,
+    power_oracle,
+    random_pair,
+)
 
 
 class TestCenterRows:
@@ -365,6 +375,66 @@ class TestBatchedScores:
         np.testing.assert_array_equal(g[1], np.zeros((2, 4)))
         alone = composition_scores_stack(x3[1:], zs[:1], 1.0, _with_vjp=True)[1]
         np.testing.assert_allclose(g[0], alone(np.ones((1, 1)))[0], atol=1e-15)
+
+
+class TestScoresInBlocks:
+    """The forward product is taken in blocks of maps x classes under the
+    byte budget; the scores must equal the one-product form bit for bit."""
+
+    @pytest.mark.parametrize(
+        "maps, bank",
+        [
+            # the benchmark's shapes; the batch is cut where the one-product
+            # oracle would need hundreds of MB, but still spans many blocks
+            ((9, 64, 512), (1000, 16)),  # eval-wide: 9 maps x 227 classes a block
+            ((100, 64, 512), (100, 16)),  # reference size: 22 maps x 93 classes
+            ((700, 16, 32), (60, 16)),  # sessions-long: 90 maps x 60 classes
+        ],
+    )
+    def test_bit_equal_to_one_product(self, maps, bank):
+        rng = np.random.default_rng(40)
+        x3 = np.abs(rng.standard_normal(maps))
+        zs = rng.standard_normal(bank + (maps[2],))
+        b, n, _ = maps
+        assert b * n * bank[0] * bank[1] * 8 > 2 * _BLOCK_BYTES
+        got = composition_scores_stack(x3, zs, 0.5)
+        assert got.tobytes() == composition_scores_unchunked(x3, zs, 0.5).tobytes()
+
+    def test_memory_stays_flat_as_the_batch_grows(self):
+        # one map's product is 1 MB; 256 maps in one product would take 256 MB
+        rng = np.random.default_rng(41)
+        zs = rng.standard_normal((500, 16, 32))
+
+        def peak(bsz):
+            x3 = rng.standard_normal((bsz, 16, 32))
+            tracemalloc.start()
+            try:
+                composition_scores_stack(x3, zs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(32), peak(256)
+        assert 32 * 16 * 500 * 16 * 8 > _BLOCK_BYTES
+        assert large < 1.25 * small
+        assert large < 2 * _BLOCK_BYTES
+
+    def test_vjp_scores_equal_the_blocked_forward(self):
+        rng = np.random.default_rng(42)
+        x3 = rng.standard_normal((300, 16, 32))
+        zs = rng.standard_normal((60, 16, 32))
+        scores, _ = composition_scores_stack(x3, zs, 1.0, _with_vjp=True)
+        assert scores.tobytes() == composition_scores_stack(x3, zs, 1.0).tobytes()
+
+    def test_overflow_raises(self):
+        rng = np.random.default_rng(43)
+        x3 = rng.standard_normal((3, 4, 5))
+        zs = rng.standard_normal((2, 3, 5))
+        x3[1, 2, 3] = 1e200  # finite, but its Gram overflows
+        with pytest.raises(NumericalFailure):
+            composition_scores_stack(x3, zs)
+        with pytest.raises(NumericalFailure):
+            composition_scores_stack(x3[:1], zs * 1e200)
 
 
 class TestCosineScores:

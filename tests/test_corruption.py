@@ -26,6 +26,7 @@ from compset import (
     synth_generate,
 )
 from compset.cli import main
+from compset.data import read_tensor, write_tensor
 
 TINY = SynthConfig(
     pool_size=8,
@@ -191,6 +192,18 @@ def test_flipped_tensor_bytes(saved, tmp_path, capsys, name):
         except CompsetError:
             pass
         assert run_eval(work) in (0, 2)
+
+
+def test_overflowing_test_maps_exit_2(work, capsys):
+    # one finite entry of 1e200 overflows its map's Gram: scoring raises
+    # NumericalFailure instead of a NaN score row voting for class 0
+    path = work / "data" / "session1_test.ckat"
+    maps = read_tensor(path)
+    maps[0, 0, 0] = 1e200
+    write_tensor(path, maps)
+    capsys.readouterr()
+    assert run_eval(work) == 2
+    assert "overflow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["ck/bank.ckat", "ck/weights.ckat"])

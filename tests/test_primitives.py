@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,13 @@ from compset import (
     init_primitive_bank,
     kmeans_centers,
 )
-from util import attention_oracle, replaced_block_oracle
+from compset.numkit import _BLOCK_BYTES
+from util import (
+    attention_oracle,
+    hard_nearest_replace_oracle,
+    kmeans_centers_oracle,
+    replaced_block_oracle,
+)
 
 
 def replace_one(bank, class_id, donors, gamma):
@@ -366,3 +374,99 @@ class TestHardNearestReplace:
         before = bank.Z.copy()
         hard_nearest_replace(bank, [2], [0, 1], 1.0, seed=4)
         np.testing.assert_array_equal(bank.Z, before)
+
+
+def _pools(rng):
+    """Point pools that stress the exact search: random rows, duplicated
+    rows and exactly equidistant grid points, and a +1e6 common offset
+    under which the GEMM form cancels to a few bits."""
+    out = []
+    for _ in range(6):
+        out.append(rng.standard_normal((int(rng.integers(2, 120)), int(rng.integers(2, 40)))))
+    grid = rng.integers(-2, 3, (60, 3)).astype(float)  # many exact ties
+    out.append(grid)
+    out.append(np.repeat(rng.standard_normal((5, 4)), 7, axis=0))
+    out.append(rng.standard_normal((80, 16)) + 1e6)
+    out.append(0.1 * grid + 1e6)  # near-ties the GEMM form rounds apart
+    return out
+
+
+class TestNearestSearchesMatchBruteForce:
+    """k-means and hard replacement search in the GEMM form; their results
+    must equal the brute-force searches of tests/util.py byte for byte."""
+
+    def test_kmeans_centers(self):
+        rng = np.random.default_rng(30)
+        for t, pts in enumerate(_pools(rng)):
+            for k in sorted({1, 3, min(16, len(pts))}):
+                got = kmeans_centers(pts, k, np.random.default_rng(t))
+                want = kmeans_centers_oracle(pts, k, np.random.default_rng(t))
+                assert got.tobytes() == want.tobytes(), (t, k)
+
+    def test_kmeans_one_row_pool(self):
+        pts = np.array([[3.0, -1.0, 2.0]])
+        got = kmeans_centers(pts, 1, np.random.default_rng(0))
+        assert got.tobytes() == kmeans_centers_oracle(pts, 1, np.random.default_rng(0)).tobytes()
+
+    def test_kmeans_empty_cluster_takes_the_farthest_point(self):
+        # 4 distinct points, 3 of them stacked: a cluster empties and is
+        # refilled from the exact per-point minimum distances
+        pts = np.array([[0.0, 0.0]] * 6 + [[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+        for seed in range(6):
+            got = kmeans_centers(pts, 4, np.random.default_rng(seed))
+            want = kmeans_centers_oracle(pts, 4, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ratio", [0.3, 0.5, 1.0])
+    def test_hard_nearest_replace(self, ratio):
+        rng = np.random.default_rng(31)
+        for t, pool in enumerate(_pools(rng)):
+            npr = 4
+            cnum = len(pool) // npr
+            if cnum < 2:
+                continue
+            z = pool[: cnum * npr].reshape(cnum, npr, -1)
+            bank = PrimitiveBank(list(range(cnum)), z, np.zeros(cnum, dtype=bool))
+            donors = list(range(max(1, cnum // 3)))
+            targets = list(range(len(donors), cnum))
+            got = hard_nearest_replace(bank, targets, donors, ratio, seed=t)
+            want = hard_nearest_replace_oracle(bank, targets, donors, ratio, seed=t)
+            assert got.Z.tobytes() == want.Z.tobytes(), t
+
+    def test_equidistant_donors_go_to_the_lowest_index(self):
+        # every target row is exactly 1 from four donor rows
+        z = np.zeros((3, 4, 2))
+        z[0] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        z[1] = [[0.0, -1.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        z[2] = 0.0
+        bank = PrimitiveBank([0, 1, 2], z + 1e6, np.zeros(3, dtype=bool))
+        got = hard_nearest_replace(bank, [2], [0, 1], 1.0, seed=0)
+        np.testing.assert_array_equal(got.Z[2], np.full((4, 2), [1.0, 0.0]) + 1e6)
+
+    def test_one_row_donor_pool(self):
+        rng = np.random.default_rng(32)
+        bank = PrimitiveBank([0, 1, 2], rng.standard_normal((3, 1, 5)), np.zeros(3, dtype=bool))
+        got = hard_nearest_replace(bank, [1, 2], [0], 1.0, seed=1)
+        np.testing.assert_array_equal(got.Z[1:], np.broadcast_to(bank.Z[0], (2, 1, 5)))
+
+    def test_wide_replacement_stays_within_the_byte_budget(self):
+        # 800 target classes x 8 picks against a 3200 x 512 donor pool: the
+        # brute-force table would hold 6400 x 3200 floats (156 MiB)
+        rng = np.random.default_rng(33)
+        bank = PrimitiveBank(list(range(1000)), rng.standard_normal((1000, 16, 512)),
+                             np.zeros(1000, dtype=bool))
+        donors, targets = list(range(200)), list(range(200, 1000))
+        tracemalloc.start()
+        try:
+            got = hard_nearest_replace(bank, targets, donors, 0.5, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 6400 * 512 * 8  # the picked rows and the rows copied in
+        pool = 3200 * 512 * 8
+        assert peak < bank.Z.nbytes + 2 * rows + pool + 3 * _BLOCK_BYTES
+        # the picks of a class come from its own substream, so a few
+        # classes replaced alone by the brute-force loop must agree
+        few = targets[:: 100]
+        want = hard_nearest_replace_oracle(bank, few, donors, 0.5, seed=2)
+        assert got.Z[few].tobytes() == want.Z[few].tobytes()

@@ -11,6 +11,7 @@ from compset import (
     FeatureBatch,
     Hyperparams,
     InvalidInput,
+    NumericalFailure,
     SynthConfig,
     evaluate_sessions,
     importance_filter_eval,
@@ -351,6 +352,15 @@ class TestNonFiniteMaps:
         with pytest.raises(InvalidInput, match="non-finite"):
             reuse_retention_eval(st, tests, [0.0, 0.5])
 
+    def test_overflowing_finite_map_raises(self):
+        # one 1e200 entry is finite, but the map's Gram overflows: the NaN
+        # score row it gave once voted for class 0 without an error
+        st = perfect_state()
+        X = perfect_tests(st)[0].X.copy()
+        X[-1, 0, 1] = 1e200
+        with pytest.raises(NumericalFailure, match="overflow"):
+            score_matrix(st, X, "composition")
+
 
 class TestRunSessions:
     def test_equals_manual_session_chain(self, state, ds):
@@ -537,8 +547,9 @@ class TestRetrievalExport:
         assert peak < 4 * 2**20
 
     def test_pairing_distances_match_direct_computation(self):
-        # the export computes ||a - b||^2 through the Gram expansion; check
-        # the reported nearest pairs against the explicit difference per class
+        # the export searches in the GEMM form but reports the distance of
+        # the explicit difference ||a - b||^2, so it equals a per-class
+        # brute-force search bit for bit
         rng = np.random.default_rng(21)
         for _ in range(20):
             cnum = int(rng.integers(2, 5))
@@ -575,7 +586,7 @@ class TestRetrievalExport:
                         [flat[j] for j in range(cnum * npr) if j // npr != ci]
                     )
                     want = float(np.sqrt(((others - own) ** 2).sum(axis=1).min()))
-                    assert abs(e["distance"] - want) <= 1e-9 * max(1.0, want)
+                    assert e["distance"] == want
                     seen.add(e["primitive"])
                 assert seen == set(range(npr))
 

@@ -5,12 +5,16 @@ similarity goes through explicit projector/centering matrices, losses
 through per-sample, per-class scalar loops.  Tests compare the package
 against these.  The two training references at the end are the loss and
 the incremental loop as they were before the fixed/live column split.
+The two nearest-row references are k-means and hard replacement as
+brute-force searches: the full (P, k, d) broadcast and a loop over picks.
 """
 
 import numpy as np
 
 from compset import (
     ClassifierWeights,
+    InsufficientData,
+    InvalidInput,
     FeatureBatch,
     Grads,
     PrimitiveBank,
@@ -21,7 +25,9 @@ from compset import (
     sgd_step,
     total_loss_and_grad,
 )
+from compset.cka import center_stack, gram_frobenius_stack, power_transform_stack
 from compset.losses import _ce_rows, _cls_core, _replacement_backward
+from compset.seeding import substream
 from compset.training import _mean_feature_rows
 
 
@@ -54,6 +60,17 @@ def cka_rc_oracle(a: np.ndarray, b: np.ndarray) -> float:
     return float(hsic(k, l) / np.sqrt(hsic(k, k) * hsic(l, l)))
 
 
+def composition_scores_unchunked(X3, Zstack, alpha: float = 1.0) -> np.ndarray:
+    """composition_scores_stack's forward as one (B, n, C, N) product, the
+    form it had before the product was taken in blocks of maps."""
+    Xc = center_stack(power_transform_stack(X3, alpha))
+    Zc = center_stack(np.asarray(Zstack, dtype=np.float64))
+    (bsz, n, d), (ncls, npr, _) = Xc.shape, Zc.shape
+    prod = (Xc.reshape(bsz * n, d) @ Zc.reshape(ncls * npr, d).T).reshape(bsz, n, ncls, npr)
+    num = np.einsum("bnkm,bnkm->bk", prod, prod)
+    return num / (gram_frobenius_stack(Xc)[:, None] * gram_frobenius_stack(Zc)[None, :])
+
+
 def power_oracle(x: np.ndarray, alpha: float) -> np.ndarray:
     out = np.empty_like(np.asarray(x, dtype=np.float64))
     flat = np.asarray(x, dtype=np.float64).ravel()
@@ -76,6 +93,62 @@ def softmax_oracle(logits, temperature: float = 1.0) -> np.ndarray:
     z = temperature * np.asarray(logits, dtype=np.float64)
     e = np.exp(z - z.max())
     return e / e.sum()
+
+
+def kmeans_centers_oracle(points, k: int, rng: np.random.Generator, iters: int = 100) -> np.ndarray:
+    """kmeans_centers with the Lloyd assignment as the brute-force (P, k, d)
+    broadcast of squared differences."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape[0] < k:
+        raise InsufficientData(f"{pts.shape[0]} points cannot seed {k} centers")
+    pts = pts[np.lexsort(pts.T[::-1])]
+    first = int(rng.integers(pts.shape[0]))
+    chosen = [first]
+    d2 = ((pts - pts[first]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        nxt = int(np.argmax(d2))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
+    centers = pts[chosen].copy()
+    for _ in range(iters):
+        dist = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = dist.argmin(axis=1)
+        new = centers.copy()
+        taken: set[int] = set()
+        for j in range(k):
+            sel = assign == j
+            if sel.any():
+                new[j] = pts[sel].mean(axis=0)
+            else:
+                far = np.argsort(-dist.min(axis=1))
+                pick = next(int(i) for i in far if int(i) not in taken)
+                taken.add(pick)
+                new[j] = pts[pick]
+        if np.array_equal(new, centers):
+            break
+        centers = new
+    return centers
+
+
+def hard_nearest_replace_oracle(bank, target_classes, donor_classes, ratio: float, seed: int = 0):
+    """hard_nearest_replace as a loop over picks, each scanning the whole
+    donor pool for its smallest squared difference."""
+    if not 0.0 <= ratio <= 1.0:
+        raise InvalidInput(f"ratio must be in [0, 1], got {ratio}")
+    donors = sorted(int(c) for c in donor_classes)
+    out = bank.copy()
+    n_swap = int(np.ceil(ratio * bank.n_primitives))
+    if n_swap == 0:
+        return out
+    pool = np.concatenate([bank.Z[bank.index_of(c)] for c in donors], axis=0)
+    for c in sorted(int(c) for c in target_classes):
+        i = bank.index_of(c)
+        rng = substream(seed, "replace", c)
+        picks = np.sort(rng.choice(bank.n_primitives, size=n_swap, replace=False))
+        for p in picks:
+            d2 = ((pool - bank.Z[i, p]) ** 2).sum(axis=1)
+            out.Z[i, p] = pool[int(np.argmin(d2))]
+    return out
 
 
 def cosine_oracle(u, v) -> float:
