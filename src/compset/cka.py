@@ -18,8 +18,9 @@ training, the gradient of a loss on them with respect to the blocks.
 `linear_cka` is one pair of it; `cka_rc`, the CKA of two representations
 of one batch, is `linear_cka` of their transposes.  `cosine_scores_stack`
 computes the plain mean/max cosine comparators for the evaluation heads
-and `allmatch_similarity`.  Only the match weights and patch importances,
-which apportion one pair's score exactly, keep a single-pair path.
+and `allmatch_similarity`.  The match weights and patch importances, which
+apportion a pair's score exactly, share one centring helper; importances
+take a whole stack of (map, block) pairs in one call.
 """
 
 from __future__ import annotations
@@ -48,16 +49,6 @@ def center_rows(X) -> Matrix:
     return center_stack(_set_matrix(X, "X")[None])[0]
 
 
-def gram_frobenius(Xc: Matrix) -> float:
-    """||Xc @ Xc.T||_F computed through the smaller Gram factor.
-
-    ||Xc Xc^T||_F == ||Xc^T Xc||_F, so use whichever side is cheaper.
-    """
-    n, d = Xc.shape
-    g = Xc @ Xc.T if n <= d else Xc.T @ Xc
-    return float(np.sqrt(np.sum(g * g)))
-
-
 def _pair(X, Z) -> tuple[Matrix, Matrix]:
     Xm = _set_matrix(X, "X")
     Zm = _set_matrix(Z, "Z")
@@ -66,17 +57,30 @@ def _pair(X, Z) -> tuple[Matrix, Matrix]:
     return Xm, Zm
 
 
-def _centered_pair(X, Z):
-    Xm, Zm = _pair(X, Z)
-    Xc = Xm - Xm.mean(axis=1, keepdims=True)
-    Zc = Zm - Zm.mean(axis=1, keepdims=True)
-    a = gram_frobenius(Xc)
-    b = gram_frobenius(Zc)
-    if a == 0.0:
-        raise DegenerateSet("X centers to zero; similarity undefined")
-    if b == 0.0:
-        raise DegenerateSet("Z centers to zero; similarity undefined")
-    return Xc, Zc, a, b
+def _centered_products(X3: np.ndarray, Z3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Xc_b Zc_b^T (B, n, N) and a_b * b_b (B,) of each (map, block) pair
+    of two finite stacks with equal B and d.  A set that centers to zero
+    raises DegenerateSet naming its index.  As in composition_scores_stack,
+    a non-finite a * b (finite inputs whose Gram overflows) raises
+    NumericalFailure."""
+    if X3.shape[2] < 2:
+        raise DegenerateInput("need at least 2 channels to center")
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xc = center_stack(X3)
+        Zc = center_stack(Z3)
+        a = gram_frobenius_stack(Xc)
+        b = gram_frobenius_stack(Zc)
+        if np.any(a == 0.0):
+            raise DegenerateSet(f"map {int(np.argmax(a == 0.0))} centers to zero; similarity undefined")
+        if np.any(b == 0.0):
+            raise DegenerateSet(f"block {int(np.argmax(b == 0.0))} centers to zero; similarity undefined")
+        return Xc @ Zc.transpose(0, 2, 1), _finite(a * b)
+
+
+def _finite(v: np.ndarray) -> np.ndarray:
+    if not np.isfinite(v).all():
+        raise NumericalFailure("set similarity overflows: a map or block is too large to score")
+    return v
 
 
 def linear_cka(X, Z) -> float:
@@ -105,19 +109,32 @@ def match_weights(X, Z) -> np.ndarray:
     sum_ik W[i, k] * (Xc_i . Zc_k) == linear_cka(X, Z) holds, so the
     weights exactly apportion the score across pairs.
     """
-    Xc, Zc, a, b = _centered_pair(X, Z)
-    return (Xc @ Zc.T) / (a * b)
+    Xm, Zm = _pair(X, Z)
+    prod, ab = _centered_products(Xm[None], Zm[None])
+    return _finite(prod / ab[:, None, None])[0]
 
 
 def patch_importance(X, Z) -> np.ndarray:
     """Per-patch share I[i] = sum_k (Xc_i . Zc_k)^2 / (a * b).
 
     Nonnegative, and sums to linear_cka(X, Z); the ranking drives the
-    patch-filtering analysis.
+    patch-filtering analysis.  One pair X (n, d), Z (N, d) gives (n,); a
+    stack of maps X (B, n, d) against one block per map Z (B, N, d) gives
+    (B, n) in one call.
     """
-    Xc, Zc, a, b = _centered_pair(X, Z)
-    c = Xc @ Zc.T
-    return (c * c).sum(axis=1) / (a * b)
+    if np.ndim(X) == 2 and np.ndim(Z) == 2:
+        Xm, Zm = _pair(X, Z)
+        return patch_importance(Xm[None], Zm[None])[0]
+    X3 = np.asarray(X, dtype=np.float64)
+    Z3 = np.asarray(Z, dtype=np.float64)
+    if X3.ndim != 3 or Z3.ndim != 3 or len(X3) != len(Z3):
+        raise InvalidInput("need one pair (n, d), (N, d) or stacks (B, n, d), (B, N, d) of equal B")
+    if X3.shape[2] != Z3.shape[2]:
+        raise InvalidInput("channel mismatch between maps and primitive blocks")
+    if not (np.isfinite(X3).all() and np.isfinite(Z3).all()):
+        raise InvalidInput("maps or blocks contain non-finite entries")
+    prod, ab = _centered_products(X3, Z3)
+    return _finite((prod * prod).sum(axis=2) / ab[:, None])
 
 
 def allmatch_similarity(X, Z, mode: str = "mean") -> float:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cka import composition_scores_stack, cosine_scores_stack, patch_importance, power_transform
+from .cka import composition_scores_stack, cosine_scores_stack, patch_importance, power_transform_stack
 from .data import FeatureBatch, SynthDataset
 from .errors import DegenerateInput, InvalidInput
 from .losses import Hyperparams
@@ -236,9 +236,10 @@ def importance_filter_eval(
 
     Ranking: score the full map over all classes, take the argmax class,
     rank patches by their importance for that class (ties to the lowest
-    patch index), keep k, re-score.  Keeping every patch reproduces the
-    full-map predictions exactly.  ``rank_by_true_label`` ranks against the
-    labeled class instead; deployment has no labels, so it is analysis-only.
+    patch index), keep k, re-score.  Keeping every patch keeps every map
+    byte for byte, so its accuracy comes from the full-map scores.
+    ``rank_by_true_label`` ranks against the labeled class instead;
+    deployment has no labels, so it is analysis-only.
     """
     if head != "composition":
         raise InvalidInput("patch filtering is defined for the composition head")
@@ -250,23 +251,18 @@ def importance_filter_eval(
         raise InvalidInput(f"keep counts must lie in [1, {n}]")
     X3 = np.asarray(test_batch.X, dtype=np.float64)
     col_lookup = {c: j for j, c in enumerate(state.bank.class_ids)}
-    if rank_by_true_label:
-        rank_col = np.array([col_lookup[int(c)] for c in test_batch.labels])
-    else:
-        scores = score_matrix(state, X3, "composition")
-        rank_col = np.argmax(scores, axis=1)
-    alpha = state.hp.alpha
-    order = np.empty((len(X3), n), dtype=np.int64)
-    for i in range(len(X3)):
-        xt = power_transform(X3[i], alpha)
-        imp = patch_importance(xt, state.bank.Z[rank_col[i]])
-        order[i] = np.argsort(-imp, kind="stable")
     truth = np.array([col_lookup[int(c)] for c in test_batch.labels])
+    full = score_matrix(state, X3, "composition") if keep[-1] == n or not rank_by_true_label else None
+    rank_col = truth if rank_by_true_label else np.argmax(full, axis=1)
+    imp = patch_importance(power_transform_stack(X3, state.hp.alpha), state.bank.Z[rank_col])
+    order = np.argsort(-imp, axis=1, kind="stable")
     out: dict[int, float] = {}
     for k in keep:
-        sel = np.sort(order[:, :k], axis=1)
-        xk = np.take_along_axis(X3, sel[:, :, None], axis=1)
-        sk = score_matrix(state, xk, "composition")
+        if k == n:
+            sk = full
+        else:
+            sel = np.sort(order[:, :k], axis=1)
+            sk = score_matrix(state, np.take_along_axis(X3, sel[:, :, None], axis=1), "composition")
         out[k] = 100.0 * float(np.mean(np.argmax(sk, axis=1) == truth))
     return out
 
@@ -287,19 +283,22 @@ def retrieval_export(state: ModelState, batch: FeatureBatch, top_k: int = 5) -> 
     bad = set(int(c) for c in batch.labels) - set(state.bank.class_ids)
     if bad:
         raise InvalidInput(f"labels not registered: {sorted(bad)}")
-    per_class: dict[int, list[tuple[float, int, str]]] = {c: [] for c in state.bank.class_ids}
-    for i in range(len(X3)):
-        c = int(batch.labels[i])
-        xt = power_transform(X3[i], state.hp.alpha)
-        imp = patch_importance(xt, state.bank.Z[col_of[c]])
-        per_class[c].extend((float(v), p, batch.sample_ids[i]) for p, v in enumerate(imp))
+    labels = np.asarray(batch.labels, dtype=np.int64)
+    cols = np.array([col_of[c] for c in labels], dtype=np.int64)
+    imp = patch_importance(power_transform_stack(X3, state.hp.alpha), state.bank.Z[cols])
+    n = imp.shape[1]
+    # ties in importance go to the lowest sample id, then the lowest patch
+    sid_rank = np.unique(np.asarray(batch.sample_ids, dtype=str), return_inverse=True)[1]
     patches = {}
-    for c, triples in per_class.items():
-        if not triples:
+    for c in state.bank.class_ids:
+        rows = np.flatnonzero(labels == c)
+        if not len(rows):
             continue
-        triples.sort(key=lambda t: (-t[0], t[2], t[1]))
+        vals = imp[rows].ravel()
+        top = np.lexsort((np.tile(np.arange(n), len(rows)), np.repeat(sid_rank[rows], n), -vals))[:top_k]
         patches[str(c)] = [
-            {"patch": p, "sample": sid, "importance": v} for v, p, sid in triples[:top_k]
+            {"patch": int(t % n), "sample": batch.sample_ids[rows[t // n]], "importance": float(vals[t])}
+            for t in top
         ]
     z = state.bank.Z
     cnum, npr, _ = z.shape
@@ -351,6 +350,9 @@ def reuse_retention_eval(
     X3 = np.asarray(full.X, dtype=np.float64)
     if not np.all(np.isfinite(X3)):
         raise InvalidInput("maps contain non-finite values")
+    ratios = [float(r) for r in ratios]
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise InvalidInput(f"ratios must lie in [0, 1], got {ratios}")
     novel_cols = np.array([state.bank.class_ids.index(c) for c in sorted(novel_ids)])
     col_of = {c: j for j, c in enumerate(sorted(novel_ids))}
     truth = np.array([col_of[int(c)] for c in full.labels])
@@ -364,14 +366,15 @@ def reuse_retention_eval(
     if original <= 0.0:
         raise DegenerateInput("original novel accuracy is zero; retention undefined")
     out = []
-    for j, r in enumerate(float(r) for r in ratios):
+    for j, r in enumerate(ratios):
+        if r == 0.0:  # nothing is replaced
+            out.append(ReusePoint(ratio=r, novel_accuracy=original, retention=100.0))
+            continue
+        # the sub-seed follows the ratio's index, so skipping ratio 0 moves no other point
         sub_seed = int(seed_sequence(seed, "reuse-ratio", j).generate_state(1)[0])
         bank_r = hard_nearest_replace(
             state.bank, sorted(novel_ids), state.base_class_ids, r, seed=sub_seed
         )
-        if r == 0.0:  # nothing was replaced
-            out.append(ReusePoint(ratio=r, novel_accuracy=original, retention=100.0))
-            continue
         acc = novel_acc(bank_r.Z)
         out.append(ReusePoint(ratio=r, novel_accuracy=acc, retention=100.0 * acc / original))
     return out

@@ -12,14 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from compset import (
-    FeatureBatch,
-    Hyperparams,
-    SynthConfig,
-    patch_importance,
-    power_transform,
-    synth_generate,
-)
+from compset import FeatureBatch, Hyperparams, SynthConfig, patch_importance, synth_generate
+from compset.cka import power_transform_stack
 from compset.protocol import reuse_retention_eval, run_sessions, score_matrix
 from util import auc_score
 
@@ -69,15 +63,11 @@ def mean_importance_auc(state, ds) -> float:
     full = FeatureBatch.concat([ds.test[k] for k in sorted(ds.test)])
     scores = score_matrix(state, full.X, "composition")
     pred = np.argmax(scores, axis=1)
-    n = full.X.shape[1]
-    aucs = np.empty(len(full))
-    for i in range(len(full)):
-        note = ds.patch_annotations[full.sample_ids[i]]
-        mask = np.zeros(n, dtype=bool)
-        mask[np.asarray(note["shared"], dtype=int)] = True
-        imp = patch_importance(power_transform(full.X[i], state.hp.alpha), state.bank.Z[pred[i]])
-        aucs[i] = auc_score(imp[mask], imp[~mask])
-    return float(aucs.mean())
+    imp = patch_importance(power_transform_stack(full.X, state.hp.alpha), state.bank.Z[pred])
+    mask = np.zeros(imp.shape, dtype=bool)
+    for i, sid in enumerate(full.sample_ids):
+        mask[i, np.asarray(ds.patch_annotations[sid]["shared"], dtype=int)] = True
+    return float(np.mean([auc_score(v[m], v[~m]) for v, m in zip(imp, mask)]))
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from compset import (
     patch_importance,
     power_transform,
 )
-from compset.cka import cosine_scores_stack
+from compset.cka import cosine_scores_stack, power_transform_stack
 from compset.numkit import _BLOCK_BYTES
 from util import (
     center_oracle,
@@ -26,6 +26,7 @@ from util import (
     cka_rc_oracle,
     composition_scores_unchunked,
     cosine_oracle,
+    patch_importance_oracle,
     power_oracle,
     random_pair,
 )
@@ -214,6 +215,69 @@ class TestDecomposition:
         x = np.array([[2.0, 0.0, -2.0], [1.0, -2.0, 1.0]])  # second row orthogonal to z after centering
         imp = patch_importance(x, z)
         assert imp[1] == pytest.approx(0.0, abs=1e-15)
+
+
+class TestImportanceStack:
+    """patch_importance over a stack of (map, block) pairs in one call."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.8])
+    @pytest.mark.parametrize("n, big_n, d", [(4, 3, 9), (12, 5, 6), (7, 11, 8)])
+    def test_matches_the_per_pair_oracle(self, n, big_n, d, alpha):
+        rng = np.random.default_rng([27, n, big_n, d])
+        x3 = rng.standard_normal((6, n, d))
+        zs = rng.standard_normal((6, big_n, d))
+        got = patch_importance(power_transform_stack(x3, alpha), zs)
+        assert got.shape == (6, n)
+        for b in range(6):
+            want = patch_importance_oracle(power_oracle(x3[b], alpha), zs[b])
+            np.testing.assert_allclose(got[b], want, rtol=1e-14, atol=0.0)
+
+    def test_one_pair_is_a_stack_of_one(self):
+        rng = np.random.default_rng(28)
+        x, z = random_pair(rng, n=5, big_n=3, d=7)
+        assert patch_importance(x, z).tobytes() == patch_importance(x[None], z[None])[0].tobytes()
+
+    def test_empty_stack(self):
+        assert patch_importance(np.zeros((0, 3, 4)), np.zeros((0, 2, 4))).shape == (0, 3)
+
+    def test_bad_stacks_rejected(self):
+        x3, zs = np.ones((2, 3, 4)), np.ones((2, 2, 4))
+        for x, z in [(x3, zs[:1]), (x3, zs[0]), (x3[0], zs), (x3, zs[:, :, :3])]:
+            with pytest.raises(InvalidInput):
+                patch_importance(x, z)
+        bad = np.array(x3)
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(InvalidInput, match="non-finite"):
+            patch_importance(bad, zs)
+
+    def test_constant_sets_name_their_index(self):
+        rng = np.random.default_rng(29)
+        x3 = rng.standard_normal((3, 4, 5))
+        zs = rng.standard_normal((3, 2, 5))
+        with pytest.raises(DegenerateSet, match="map 2"):
+            patch_importance(np.concatenate([x3[:2], np.ones((1, 4, 5))]), zs)
+        with pytest.raises(DegenerateSet, match="block 1"):
+            patch_importance(x3, np.concatenate([zs[:1], np.ones((2, 2, 5))]))
+        with pytest.raises(DegenerateSet):
+            patch_importance(np.ones((4, 5)), zs[0])
+        with pytest.raises(DegenerateSet):
+            match_weights(x3[0], np.ones((2, 5)))
+
+    def test_overflow_raises(self):
+        # one finite 1e200 entry overflows its map's Gram: importances and
+        # weights were once NaN or 0 without an error
+        rng = np.random.default_rng(30)
+        x3 = rng.standard_normal((3, 4, 5))
+        zs = rng.standard_normal((3, 2, 5))
+        x3[1, 2, 3] = 1e200
+        with pytest.raises(NumericalFailure, match="overflow"):
+            patch_importance(x3, zs)
+        with pytest.raises(NumericalFailure, match="overflow"):
+            patch_importance(x3[1], zs[1])
+        with pytest.raises(NumericalFailure, match="overflow"):
+            match_weights(x3[1], zs[1])
+        with pytest.raises(NumericalFailure, match="overflow"):
+            match_weights(x3[0], zs[0] * 1e200)
 
 
 class TestAllMatch:

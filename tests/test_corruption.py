@@ -206,6 +206,20 @@ def test_overflowing_test_maps_exit_2(work, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+def test_overflowing_test_maps_exit_2_from_importance(work, capsys):
+    # ranking by true label scores no full map at these keep counts, so the
+    # overflow surfaces in the patch importances, which once ranked NaNs
+    path = work / "data" / "session1_test.ckat"
+    maps = read_tensor(path)
+    maps[0, 0, 0] = 1e200
+    write_tensor(path, maps)
+    capsys.readouterr()
+    argv = ["importance", "--ckpt", str(work / "ck"), "--data", str(work / "data"),
+            "--keep", "1,2", "--true-label", "--retrieval-top-k", "5"]
+    assert main(argv) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["ck/bank.ckat", "ck/weights.ckat"])
 def test_non_finite_parameters_are_rejected(work, capsys, name):
     raw = bytearray((work / name).read_bytes())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from compset import InvalidInput, central_diff_grad
-from compset.cka import gram_frobenius
+from compset.cka import gram_frobenius_stack
 from compset.numkit import as_matrix, logsumexp_rows, softmax_rows
 from util import softmax_oracle
 
@@ -47,20 +47,28 @@ class TestStableSoftmax:
 
 
 class TestFrobeniusNorm:
-    """||M M^T||_F, which the package computes through the smaller Gram factor."""
+    """||M M^T||_F of each map in a stack, which the package computes
+    through the smaller Gram factor."""
 
     def test_three_four_five(self):
-        assert gram_frobenius(np.array([[3.0, 4.0]])) == 25.0
+        assert gram_frobenius_stack(np.array([[[3.0, 4.0]]]))[0] == 25.0
 
     def test_zero_iff_zero(self):
-        assert gram_frobenius(np.zeros((3, 2))) == 0.0
-        assert gram_frobenius(np.ones((2, 2))) == 4.0
+        assert gram_frobenius_stack(np.zeros((1, 3, 2)))[0] == 0.0
+        assert gram_frobenius_stack(np.ones((1, 2, 2)))[0] == 4.0
 
     def test_matches_numpy_on_random(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             m = rng.standard_normal((int(rng.integers(1, 10)), int(rng.integers(1, 10))))
-            np.testing.assert_allclose(gram_frobenius(m), np.linalg.norm(m @ m.T), rtol=1e-12)
+            np.testing.assert_allclose(gram_frobenius_stack(m[None])[0], np.linalg.norm(m @ m.T), rtol=1e-12)
+
+    def test_stack_equals_each_map_alone(self):
+        rng = np.random.default_rng(3)
+        for n, d in [(3, 7), (7, 3)]:
+            stack = rng.standard_normal((5, n, d))
+            want = [np.linalg.norm(m @ m.T) for m in stack]
+            np.testing.assert_allclose(gram_frobenius_stack(stack), want, rtol=1e-12)
 
 
 class TestAsMatrix:

@@ -16,6 +16,7 @@ from compset import (
     evaluate_sessions,
     importance_filter_eval,
     linear_cka,
+    patch_importance,
     performance_drop,
     power_transform,
     primitive_count_sweep,
@@ -28,6 +29,7 @@ from compset import (
     train_base,
     train_incremental,
 )
+from compset import protocol
 from compset.losses import ClassifierWeights
 from compset.primitives import PrimitiveBank
 from compset.protocol import (
@@ -36,6 +38,7 @@ from compset.protocol import (
     schedule_of,
     sweep_table,
 )
+from compset.seeding import seed_sequence
 from compset.training import ModelState
 
 CFG = SynthConfig(
@@ -73,6 +76,27 @@ def _empty_like(batch: FeatureBatch) -> FeatureBatch:
         sessions=np.empty(0, dtype=np.int64),
         sample_ids=[],
     )
+
+
+def counting(monkeypatch, name):
+    """Route protocol's calls of ``name`` through a recorder of their
+    arguments; returns the list of recorded (args, kwargs)."""
+    calls = []
+    inner = getattr(protocol, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, name, wrapped)
+    return calls
+
+
+def overflowing(batch: FeatureBatch) -> FeatureBatch:
+    """A copy of ``batch`` with one finite entry whose map Gram overflows."""
+    X = np.array(batch.X)
+    X[-1, 0, 1] = 1e200
+    return replace(batch, X=X)
 
 
 def perfect_state(duplicate_first_two=False):
@@ -388,6 +412,38 @@ class TestImportanceFilter:
         want = 100.0 * float(np.mean(pred == batch.labels))
         assert abs(out[n] - want) < 1e-12
 
+    def test_one_importance_call_and_one_full_scoring(self, state, ds, monkeypatch):
+        # keeping all n patches reuses the ranking's full-map scores
+        batch = FeatureBatch.concat([ds.test[k] for k in range(3)])
+        n = batch.X.shape[1]
+        want = importance_filter_eval(state, batch, [2, n])
+        imps = counting(monkeypatch, "patch_importance")
+        scorings = counting(monkeypatch, "score_matrix")
+        assert importance_filter_eval(state, batch, [2, n]) == want
+        assert len(imps) == 1
+        assert imps[0][0][0].shape == batch.X.shape
+        assert [a[1].shape[1] for a, _ in scorings] == [n, 2]
+
+    @pytest.mark.parametrize("keep_all", [False, True])
+    def test_true_label_ranking_scores_full_maps_at_most_once(self, state, ds, monkeypatch, keep_all):
+        batch = ds.test[1]
+        n = batch.X.shape[1]
+        keep = [2, n] if keep_all else [2]
+        imps = counting(monkeypatch, "patch_importance")
+        scorings = counting(monkeypatch, "score_matrix")
+        importance_filter_eval(state, batch, keep, rank_by_true_label=True)
+        assert len(imps) == 1
+        assert [a[1].shape[1] for a, _ in scorings] == ([n, 2] if keep_all else [2])
+
+    @pytest.mark.parametrize("by_true_label", [False, True])
+    def test_overflowing_finite_map_raises(self, by_true_label):
+        # ranking by true label once ranked on NaN importances and
+        # reported accuracies without an error
+        st = perfect_state()
+        batch = overflowing(perfect_tests(st)[0])
+        with pytest.raises(NumericalFailure, match="overflow"):
+            importance_filter_eval(st, batch, [1], rank_by_true_label=by_true_label)
+
     def test_more_patches_help_on_this_task(self, state, ds):
         batch = FeatureBatch.concat([ds.test[k] for k in range(3)])
         out = importance_filter_eval(state, batch, [1, 4, 8])
@@ -455,6 +511,38 @@ class TestRetrievalExport:
             for e in entries:
                 assert set(e) == {"primitive", "nearest_class", "nearest_primitive", "distance"}
                 assert str(e["nearest_class"]) != c
+
+    def test_one_importance_call(self, state, ds, monkeypatch):
+        batch = FeatureBatch.concat([ds.test[k] for k in range(3)])
+        imps = counting(monkeypatch, "patch_importance")
+        retrieval_export(state, batch, top_k=4)
+        assert len(imps) == 1
+        assert imps[0][0][0].shape == batch.X.shape
+
+    def test_top_patches_equal_a_per_sample_oracle(self, default_runs):
+        # each sample's importances from its own call, ranked as Python
+        # tuples: importance descending, then sample id, then patch
+        run = default_runs[0]
+        state = run["state"]
+        batch = FeatureBatch.concat([run["ds"].test[k] for k in sorted(run["ds"].test)])
+        doc = retrieval_export(state, batch, top_k=7)
+        per_class = {}
+        for i, c in enumerate(int(c) for c in batch.labels):
+            imp = patch_importance(
+                power_transform(batch.X[i], state.hp.alpha), state.bank.Z[state.bank.index_of(c)]
+            )
+            per_class.setdefault(c, []).extend((-v, batch.sample_ids[i], p) for p, v in enumerate(imp))
+        assert sorted(doc["top_patches"]) == sorted(str(c) for c in per_class)
+        for c, triples in per_class.items():
+            got = doc["top_patches"][str(c)]
+            want = sorted(triples)[:7]
+            assert [(e["sample"], e["patch"]) for e in got] == [(s, p) for _, s, p in want]
+            np.testing.assert_allclose([e["importance"] for e in got], [-v for v, _, _ in want], rtol=1e-14)
+
+    def test_overflowing_finite_map_raises(self):
+        st = perfect_state()
+        with pytest.raises(NumericalFailure, match="overflow"):
+            retrieval_export(st, overflowing(perfect_tests(st)[0]))
 
     def test_hand_built_pairing_distance(self):
         Z = np.array([[[1.0, 3.0]], [[1.0, 0.0]]])
@@ -618,6 +706,23 @@ class TestReuseRetention:
         for p in pts:
             assert abs(p.retention - 100.0 * p.novel_accuracy / original) < 1e-12
             assert p.retention > 0.0
+
+    def test_ratio_zero_replaces_nothing(self, state, ds, monkeypatch):
+        # ratio 0 once copied the whole bank only to throw the copy away;
+        # the other ratios keep the sub-seeds of their positions
+        want = reuse_retention_eval(state, ds.test, [0.0, 0.5, 0.0, 1.0], seed=4)
+        calls = counting(monkeypatch, "hard_nearest_replace")
+        assert reuse_retention_eval(state, ds.test, [0.0, 0.5, 0.0, 1.0], seed=4) == want
+        seeds = [kw["seed"] for _, kw in calls]
+        assert seeds == [int(seed_sequence(4, "reuse-ratio", j).generate_state(1)[0]) for j in (1, 3)]
+        assert want[0] == want[2] == replace(want[0], ratio=0.0, retention=100.0)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_bad_ratio_rejected_before_scoring(self, state, ds, monkeypatch, bad):
+        scorings = counting(monkeypatch, "composition_scores_stack")
+        with pytest.raises(InvalidInput, match="ratio"):
+            reuse_retention_eval(state, ds.test, [0.0, 0.5, bad])
+        assert scorings == []
 
     def test_deterministic_for_a_seed(self, state, ds):
         a = reuse_retention_eval(state, ds.test, [0.5], seed=3)

@@ -48,6 +48,15 @@ def cka_oracle(x: np.ndarray, z: np.ndarray) -> float:
     return float(num / den)
 
 
+def patch_importance_oracle(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One pair's patch importances, sum_k (Xc_i . Zc_k)^2 / (a * b), with
+    a and b the Frobenius norms of the full n x n and N x N Grams."""
+    xc = center_oracle(x)
+    zc = center_oracle(z)
+    c = xc @ zc.T
+    return (c * c).sum(axis=1) / (np.linalg.norm(xc @ xc.T) * np.linalg.norm(zc @ zc.T))
+
+
 def cka_rc_oracle(a: np.ndarray, b: np.ndarray) -> float:
     """Gram/centering evaluation with explicit H, tr-form HSIC."""
     a = np.asarray(a, dtype=np.float64)
