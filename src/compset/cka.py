@@ -14,7 +14,13 @@ patch dimension, and to one channel permutation applied to both sets.
 
 One batched kernel, `composition_scores_stack`, computes this CKA: the
 scores of power-transformed maps against every class block and, for
-training, the gradient of a loss on them with respect to the blocks.
+training, the gradient of a loss on them with respect to the blocks.  Its
+numerators take one of two forms.  The product form squares the
+(B, n, C, N) product Xc Zc^T in blocks under a byte budget; the Gram form
+uses ||Xc Zc^T||_F^2 = <Xc^T Xc, Zc^T Zc>_F, one GEMM over the d x d
+Grams.  A call without a gradient takes the Gram form when the class
+Grams fit one block and it needs fewer multiply-adds; a call with a
+gradient keeps the product, which the gradient reuses.
 `linear_cka` is one pair of it; `cka_rc`, the CKA of two representations
 of one batch, is `linear_cka` of their transposes.  `cosine_scores_stack`
 computes the plain mean/max cosine comparators for the evaluation heads
@@ -156,8 +162,9 @@ def cka_rc(A, B) -> float:
     With each column centered over the batch, linear CKA is
     ||Ac^T Bc||_F^2 / (||Ac^T Ac||_F ||Bc^T Bc||_F), which equals the HSIC
     form over the b x b Grams (Kornblith et al. 2019).  Centering A's
-    columns is row-centering A^T, so this is linear_cka(A.T, B.T): it needs
-    O(p q + (p + q) b) memory for p and q features, never a b x b Gram.
+    columns is row-centering A^T, so this is linear_cka(A.T, B.T): for p
+    and q features it needs O(p q + (p + q) b) memory, and a b x b Gram
+    only when the kernel's Gram form fits one block and costs less.
     """
     Am = as_matrix(A, "A")
     Bm = as_matrix(B, "B")
@@ -184,12 +191,16 @@ def power_transform_stack(X3: np.ndarray, alpha: float) -> np.ndarray:
     if alpha == 1.0:
         return np.array(X3, dtype=np.float64)
     X3 = np.asarray(X3, dtype=np.float64)
-    return np.sign(X3) * np.abs(X3) ** alpha
+    out = np.abs(X3)
+    np.power(out, alpha, out=out)
+    np.copysign(out, X3, out=out)
+    out += 0.0  # -0.0 maps to 0.0, as sign(x) * |x|^alpha does
+    return out
 
 
-def center_stack(T: np.ndarray) -> np.ndarray:
-    """Row-center every map in a (B, n, d) stack."""
-    return T - T.mean(axis=2, keepdims=True)
+def center_stack(T: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-center every map in a (B, n, d) stack (in place with out=T)."""
+    return np.subtract(T, T.mean(axis=2, keepdims=True), out=out)
 
 
 def gram_frobenius_stack(Tc: np.ndarray) -> np.ndarray:
@@ -200,6 +211,69 @@ def gram_frobenius_stack(Tc: np.ndarray) -> np.ndarray:
     else:
         g = Tc.transpose(0, 2, 1) @ Tc
     return np.sqrt(np.einsum("bij,bij->b", g, g))
+
+
+def _gram_form(maps_shape, blocks_shape) -> bool:
+    """Whether a gradient-free call of maps (B, n, d) against blocks
+    (C, N, d) scores in Gram form: the (C, d, d) class Grams fit one block
+    and the form takes fewer multiply-adds, B n d^2 + C N d^2 + B C d^2
+    against the product's B n C N d."""
+    (bsz, n, d), (ncls, npr, _) = maps_shape, blocks_shape
+    if 8 * ncls * d * d > _BLOCK_BYTES:
+        return False
+    return bsz * n * d * d + ncls * npr * d * d + bsz * ncls * d * d < bsz * n * ncls * npr * d
+
+
+def _product_numerators(Xc: np.ndarray, Zc: np.ndarray, one_block: bool):
+    """||Xc_b Zc_c^T||_F^2 (B, C) and the last block's (b, n, c, N) product.
+
+    The product runs as GEMMs over (b*n, d) x (d, c*N), b maps against c
+    classes at a time, each block of about square shape in one buffer of at
+    most the byte budget.  ``one_block`` takes the whole product at once,
+    for training's vjp, which reuses it.  An empty batch or bank still
+    makes one (empty) block.
+    """
+    bsz, n, d = Xc.shape
+    ncls, npr, _ = Zc.shape
+    if one_block:
+        mb, cb = max(bsz, 1), max(ncls, 1)
+    else:
+        mb = max(1, min(bsz, isqrt(_BLOCK_BYTES // 8) // n))
+        cb = max(1, min(ncls, _row_step(8 * mb * n * npr)))
+    zf = Zc.reshape(ncls * npr, d)
+    buf = np.empty(mb * n * cb * npr)
+    num = np.empty((bsz, ncls))
+    for c0 in range(0, max(ncls, 1), cb):
+        zt = zf[c0 * npr : (c0 + cb) * npr].T
+        nc = zt.shape[1] // npr
+        for b0 in range(0, max(bsz, 1), mb):
+            xb = Xc[b0 : b0 + mb]
+            rows, cols = len(xb) * n, nc * npr
+            prod = np.matmul(xb.reshape(rows, d), zt, out=buf[: rows * cols].reshape(rows, cols))
+            prod = prod.reshape(len(xb), n, nc, npr)
+            num[b0 : b0 + mb, c0 : c0 + cb] = np.einsum("bnkm,bnkm->bk", prod, prod)
+    return num, prod
+
+
+def _gram_numerators(Xc: np.ndarray, Zc: np.ndarray) -> np.ndarray:
+    """||Xc_b Zc_c^T||_F^2 (B, C) as <Xc_b^T Xc_b, Zc_c^T Zc_c>_F.
+
+    The class Grams are one (C, d^2) stack; the map Grams are built in
+    blocks of maps under the byte budget, each block one (b, d^2) x (d^2, C)
+    GEMM.  The inner product of two Grams can round below 0, a sum of
+    squares cannot, so the result is clamped at 0.
+    """
+    bsz, _, d = Xc.shape
+    ncls = len(Zc)
+    gz = (Zc.transpose(0, 2, 1) @ Zc).reshape(ncls, d * d)
+    mb = _row_step(8 * d * d)
+    buf = np.empty((min(bsz, mb), d, d))
+    num = np.empty((bsz, ncls))
+    for b0 in range(0, bsz, mb):
+        xb = Xc[b0 : b0 + mb]
+        gx = np.matmul(xb.transpose(0, 2, 1), xb, out=buf[: len(xb)])
+        np.matmul(gx.reshape(len(xb), d * d), gz.T, out=num[b0 : b0 + mb])
+    return np.maximum(num, 0.0, out=num)
 
 
 def composition_scores_stack(
@@ -214,12 +288,19 @@ def composition_scores_stack(
     X3 is (B, n, d) raw maps, Zstack is (C, N, d) raw primitive blocks; the
     result is (B, C).  ``on_degenerate`` chooses between raising
     DegenerateSet and scoring the offending pairs 0.0 (evaluation policy).
-    The heavy product runs as GEMMs over (b*n, d) x (d, c*N), b maps
-    against c classes at a time, so each block of the product stays within
-    the byte budget.  A non-finite a, b or score (finite inputs whose Gram
-    overflows) raises NumericalFailure.  With ``_with_vjp`` the result is
-    ``(scores, vjp)``, where ``vjp`` maps d(loss)/d(scores) (B, C) to
-    d(loss)/d(Zstack) (C, N, d); the whole batch is then one block.
+    A non-finite a, b or score (finite inputs whose Gram overflows) raises
+    NumericalFailure.
+
+    The numerators ||Xc Zc^T||_F^2 take one of two forms.  The product
+    form squares the (B, n, C, N) product, in blocks of maps x classes
+    under the byte budget.  The Gram form takes the identity
+    ||Xc Zc^T||_F^2 = <Xc^T Xc, Zc^T Zc>_F (Kornblith et al. 2019,
+    arXiv:1905.00414) as one (B, d^2) x (d^2, C) GEMM; a call without a
+    gradient uses it when `_gram_form` holds: the class Grams fit one
+    block and it needs fewer multiply-adds.  With ``_with_vjp`` the
+    result is ``(scores, vjp)``, where ``vjp`` maps d(loss)/d(scores)
+    (B, C) to d(loss)/d(Zstack) (C, N, d); the vjp reuses the product, so
+    the whole batch is one block of the product form.
     """
     if on_degenerate not in ("raise", "zero"):
         raise InvalidInput("on_degenerate must be 'raise' or 'zero'")
@@ -231,12 +312,11 @@ def composition_scores_stack(
         raise InvalidInput("channel mismatch between maps and primitive blocks")
     if X3.shape[2] < 2:
         raise DegenerateInput("need at least 2 channels to center")
-    bsz, n, d = X3.shape
-    ncls, npr, _ = Zs.shape
     # a finite map can still overflow its Gram or the product: under
     # ignored warnings every non-finite a, b or score is caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        Xc = center_stack(power_transform_stack(X3, alpha))
+        Xc = power_transform_stack(X3, alpha)  # a new array: center it in place
+        center_stack(Xc, out=Xc)
         Zc = center_stack(Zs)
         a = gram_frobenius_stack(Xc)
         b = gram_frobenius_stack(Zc)
@@ -250,27 +330,10 @@ def composition_scores_stack(
                 raise DegenerateSet(f"class block {idx} centers to zero", class_id=idx)
         a = np.where(bad_a, 1.0, a)
         b = np.where(bad_b, 1.0, b)
-        # the (B, n, C, N) product in blocks of maps x classes, each one
-        # GEMM of about square shape into one buffer of at most the byte
-        # budget; training's vjp reuses the whole product, so it takes one
-        # block.  An empty batch or bank still makes one (empty) block.
-        if _with_vjp:
-            mb, cb = max(bsz, 1), max(ncls, 1)
+        if _with_vjp or not _gram_form(X3.shape, Zs.shape):
+            num, prod = _product_numerators(Xc, Zc, one_block=_with_vjp)
         else:
-            mb = max(1, min(bsz, isqrt(_BLOCK_BYTES // 8) // n))
-            cb = max(1, min(ncls, _row_step(8 * mb * n * npr)))
-        zf = Zc.reshape(ncls * npr, d)
-        buf = np.empty(mb * n * cb * npr)
-        num = np.empty((bsz, ncls))
-        for c0 in range(0, max(ncls, 1), cb):
-            zt = zf[c0 * npr : (c0 + cb) * npr].T
-            nc = zt.shape[1] // npr
-            for b0 in range(0, max(bsz, 1), mb):
-                xb = Xc[b0 : b0 + mb]
-                rows, cols = len(xb) * n, nc * npr
-                prod = np.matmul(xb.reshape(rows, d), zt, out=buf[: rows * cols].reshape(rows, cols))
-                prod = prod.reshape(len(xb), n, nc, npr)
-                num[b0 : b0 + mb, c0 : c0 + cb] = np.einsum("bnkm,bnkm->bk", prod, prod)
+            num = _gram_numerators(Xc, Zc)
         scores = num / (a[:, None] * b[None, :])
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(scores).all()):
         raise NumericalFailure("composition scores overflow: a map or block is too large to score")

@@ -6,8 +6,8 @@ single validation gate.
 
 Kernels whose temporaries grow with their inputs work in blocks of rows,
 each block's largest temporary held to ``_BLOCK_BYTES``: the scoring
-product of :mod:`compset.cka` and the distance table of
-:func:`_nearest_rows`.
+product and the map Grams of :mod:`compset.cka` and the distance table
+of :func:`_nearest_rows`.
 """
 
 from __future__ import annotations

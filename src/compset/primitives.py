@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InsufficientData, InvalidInput
-from .numkit import _nearest_rows, as_matrix, softmax_rows
+from .numkit import _nearest_rows, as_matrix
 from .seeding import substream
 
 
@@ -224,10 +224,25 @@ class ReplacedBank:
 
 
 def _attention_weights(targets: np.ndarray, donors: np.ndarray, gamma: float) -> np.ndarray:
-    """softmax_k(gamma * -(||t_i - d_k||^2)) rows; rows sum to 1."""
+    """softmax_k(gamma * -(||t_i - d_k||^2)) rows; rows sum to 1.
+
+    Weights below the smallest normal float are flushed to 0: at sharp
+    attention many are subnormal, and arithmetic on subnormals is slow in
+    the products that use them.  exp is skipped where its result would be
+    0 or subnormal, where NumPy's exp is also slow.  A flushed term is
+    below an ulp of any sum that also holds a normal term, so only a sum of
+    flushed terms alone changes: it becomes 0 instead of a few times the
+    smallest normal.
+    """
     diff = targets[:, None, :] - donors[None, :, :]
     sq = np.einsum("ikd,ikd->ik", diff, diff)
-    return softmax_rows(-gamma * sq)
+    z = -gamma * sq
+    z -= z.max(axis=1, keepdims=True)
+    tiny = np.finfo(np.float64).tiny
+    e = np.exp(z, out=np.zeros_like(z), where=z >= np.log(tiny))
+    att = e / e.sum(axis=1, keepdims=True)
+    att[att < tiny] = 0.0
+    return att
 
 
 def build_replaced(

@@ -142,6 +142,16 @@ def score_matrix(state: ModelState, X3: np.ndarray, head: str = "composition") -
     return cosine_scores_stack(X3, state.bank.Z, "mean" if head == "allmatch" else "max")
 
 
+def _label_columns(state: ModelState, labels, what: str) -> np.ndarray:
+    """The bank column of every label; an unregistered one raises InvalidInput."""
+    ids = np.asarray(state.bank.class_ids)
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = ~np.isin(labels, ids)
+    if bad.any():
+        raise InvalidInput(f"{what} not registered: {np.unique(labels[bad]).tolist()}")
+    return np.searchsorted(ids, labels)  # the bank is in ascending class-id order
+
+
 def evaluate_sessions(
     state: ModelState, test_sets: dict[int, FeatureBatch], head: str = "composition"
 ) -> EvalReport:
@@ -163,17 +173,13 @@ def evaluate_sessions(
     ids = np.array(state.bank.class_ids)
     session_of = np.array([state.class_sessions[c] for c in state.bank.class_ids])
     batches = [test_sets[k] for k in range(nses)]
-    for k, b in zip(range(nses), batches):
-        bad = set(int(c) for c in b.labels) - set(state.bank.class_ids)
-        if bad:
-            raise InvalidInput(f"session {k} test labels not registered: {sorted(bad)}")
-    full = FeatureBatch.concat(batches) if len(batches) > 1 else batches[0]
-    scores = score_matrix(state, full.X, head)
-    col_of = {c: i for i, c in enumerate(state.bank.class_ids)}
-    true_cols = np.array([col_of[int(c)] for c in full.labels])
-    sample_session = np.array(
-        [state.class_sessions[int(c)] for c in full.labels]
-    )  # class entry session, not batch provenance
+    true_cols = np.concatenate(
+        [_label_columns(state, b.labels, f"session {k} test labels") for k, b in enumerate(batches)]
+    )
+    X3 = np.concatenate([b.X for b in batches]) if len(batches) > 1 else batches[0].X
+    scores = score_matrix(state, X3, head)
+    sample_session = session_of[true_cols]  # class entry session, not batch provenance
+    ncls = len(ids)
 
     out: list[SessionEval] = []
     for k in range(nses):
@@ -193,10 +199,12 @@ def evaluate_sessions(
             nsub = scores[np.ix_(nrows, novel_cols)]
             npred = novel_cols[np.argmax(nsub, axis=1)]
             novel_acc = 100.0 * float(np.mean(npred == true_cols[nrows]))
+        # one count per (truth, prediction) cell that occurs
+        counts = np.bincount(truth * ncls + pred_cols)
+        cells = np.flatnonzero(counts)
         confusion: dict[int, dict[int, int]] = {}
-        for t, p in zip(ids[truth], ids[pred_cols]):
-            confusion.setdefault(int(t), {}).setdefault(int(p), 0)
-            confusion[int(t)][int(p)] += 1
+        for t, p, c in zip(ids[cells // ncls].tolist(), ids[cells % ncls].tolist(), counts[cells].tolist()):
+            confusion.setdefault(t, {})[p] = c
         out.append(
             SessionEval(
                 session=k,
@@ -250,8 +258,7 @@ def importance_filter_eval(
     if not keep or keep[0] < 1 or keep[-1] > n:
         raise InvalidInput(f"keep counts must lie in [1, {n}]")
     X3 = np.asarray(test_batch.X, dtype=np.float64)
-    col_lookup = {c: j for j, c in enumerate(state.bank.class_ids)}
-    truth = np.array([col_lookup[int(c)] for c in test_batch.labels])
+    truth = _label_columns(state, test_batch.labels, "labels")
     full = score_matrix(state, X3, "composition") if keep[-1] == n or not rank_by_true_label else None
     rank_col = truth if rank_by_true_label else np.argmax(full, axis=1)
     imp = patch_importance(power_transform_stack(X3, state.hp.alpha), state.bank.Z[rank_col])
@@ -279,12 +286,8 @@ def retrieval_export(state: ModelState, batch: FeatureBatch, top_k: int = 5) -> 
     if top_k < 1:
         raise InvalidInput("top_k must be >= 1")
     X3 = np.asarray(batch.X, dtype=np.float64)
-    col_of = {c: j for j, c in enumerate(state.bank.class_ids)}
-    bad = set(int(c) for c in batch.labels) - set(state.bank.class_ids)
-    if bad:
-        raise InvalidInput(f"labels not registered: {sorted(bad)}")
     labels = np.asarray(batch.labels, dtype=np.int64)
-    cols = np.array([col_of[c] for c in labels], dtype=np.int64)
+    cols = _label_columns(state, labels, "labels")
     imp = patch_importance(power_transform_stack(X3, state.hp.alpha), state.bank.Z[cols])
     n = imp.shape[1]
     # ties in importance go to the lowest sample id, then the lowest patch

@@ -18,12 +18,19 @@ from compset import (
     patch_importance,
     power_transform,
 )
-from compset.cka import cosine_scores_stack, power_transform_stack
+from compset.cka import (
+    _gram_form,
+    _gram_numerators,
+    center_stack,
+    cosine_scores_stack,
+    power_transform_stack,
+)
 from compset.numkit import _BLOCK_BYTES
 from util import (
     center_oracle,
     cka_oracle,
     cka_rc_oracle,
+    composition_scores_gram_one_block,
     composition_scores_unchunked,
     cosine_oracle,
     patch_importance_oracle,
@@ -135,6 +142,14 @@ class TestPowerTransform:
         m = rng.standard_normal((3, 5))
         for alpha in (0.3, 0.5, 0.8, 1.0):
             np.testing.assert_allclose(power_transform(m, alpha), power_oracle(m, alpha), atol=1e-12)
+
+    def test_stack_bit_equal_to_sign_times_power(self):
+        rng = np.random.default_rng(10)
+        x3 = rng.standard_normal((4, 6, 8))
+        x3[0, 0, :3] = [-0.0, 0.0, -1e-310]
+        for alpha in (0.3, 0.8):
+            want = np.sign(x3) * np.abs(x3) ** alpha
+            assert power_transform_stack(x3, alpha).tobytes() == want.tobytes()
 
     def test_alpha_range_enforced(self):
         for alpha in (0.0, -0.5, 1.5):
@@ -441,6 +456,17 @@ class TestBatchedScores:
         np.testing.assert_allclose(g[0], alone(np.ones((1, 1)))[0], atol=1e-15)
 
 
+def peak_bytes(rng, zs, bsz, n):
+    """Peak traced bytes of scoring bsz random (n, d) maps against zs."""
+    x3 = rng.standard_normal((bsz, n, zs.shape[2]))
+    tracemalloc.start()
+    try:
+        composition_scores_stack(x3, zs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestScoresInBlocks:
     """The forward product is taken in blocks of maps x classes under the
     byte budget; the scores must equal the one-product form bit for bit."""
@@ -448,45 +474,42 @@ class TestScoresInBlocks:
     @pytest.mark.parametrize(
         "maps, bank",
         [
-            # the benchmark's shapes; the batch is cut where the one-product
-            # oracle would need hundreds of MB, but still spans many blocks
+            # the benchmark's d = 512 shapes, where the rule keeps the product
+            # form; the batch is cut where the one-product oracle would need
+            # hundreds of MB, but still spans many blocks
             ((9, 64, 512), (1000, 16)),  # eval-wide: 9 maps x 227 classes a block
             ((100, 64, 512), (100, 16)),  # reference size: 22 maps x 93 classes
-            ((700, 16, 32), (60, 16)),  # sessions-long: 90 maps x 60 classes
         ],
     )
     def test_bit_equal_to_one_product(self, maps, bank):
         rng = np.random.default_rng(40)
         x3 = np.abs(rng.standard_normal(maps))
         zs = rng.standard_normal(bank + (maps[2],))
-        b, n, _ = maps
+        b, n, d = maps
         assert b * n * bank[0] * bank[1] * 8 > 2 * _BLOCK_BYTES
+        assert not _gram_form(maps, bank + (d,))
         got = composition_scores_stack(x3, zs, 0.5)
         assert got.tobytes() == composition_scores_unchunked(x3, zs, 0.5).tobytes()
 
     def test_memory_stays_flat_as_the_batch_grows(self):
-        # one map's product is 1 MB; 256 maps in one product would take 256 MB
+        # one 8 x 64 map's product against 600 classes is 614 KB, so even 32
+        # maps span two blocks; 600 class Grams of 64 x 64 exceed one block,
+        # so the product form runs
         rng = np.random.default_rng(41)
-        zs = rng.standard_normal((500, 16, 32))
-
-        def peak(bsz):
-            x3 = rng.standard_normal((bsz, 16, 32))
-            tracemalloc.start()
-            try:
-                composition_scores_stack(x3, zs)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        small, large = peak(32), peak(256)
-        assert 32 * 16 * 500 * 16 * 8 > _BLOCK_BYTES
+        zs = rng.standard_normal((600, 16, 64))
+        assert 32 * 8 * 600 * 16 * 8 > _BLOCK_BYTES
+        assert not _gram_form((32, 8, 64), zs.shape) and not _gram_form((256, 8, 64), zs.shape)
+        small, large = peak_bytes(rng, zs, 32, 8), peak_bytes(rng, zs, 256, 8)
         assert large < 1.25 * small
         assert large < 2 * _BLOCK_BYTES
 
     def test_vjp_scores_equal_the_blocked_forward(self):
+        # 30 maps of 64 x 512 against 100 classes: two blocks of maps, and
+        # the rule keeps the product form
         rng = np.random.default_rng(42)
-        x3 = rng.standard_normal((300, 16, 32))
-        zs = rng.standard_normal((60, 16, 32))
+        x3 = rng.standard_normal((30, 64, 512))
+        zs = rng.standard_normal((100, 16, 512))
+        assert not _gram_form(x3.shape, zs.shape)
         scores, _ = composition_scores_stack(x3, zs, 1.0, _with_vjp=True)
         assert scores.tobytes() == composition_scores_stack(x3, zs, 1.0).tobytes()
 
@@ -499,6 +522,146 @@ class TestScoresInBlocks:
             composition_scores_stack(x3, zs)
         with pytest.raises(NumericalFailure):
             composition_scores_stack(x3[:1], zs * 1e200)
+
+
+class TestGramForm:
+    """Gradient-free calls score <Xc^T Xc, Zc^T Zc>_F when the class Grams
+    fit one block and the form needs fewer multiply-adds."""
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0])
+    @pytest.mark.parametrize(
+        "maps, bank",
+        [
+            ((100, 8, 16), (40, 16, 16)),  # n < d
+            ((100, 40, 16), (40, 16, 16)),  # n > d
+        ],
+    )
+    def test_agrees_with_the_product(self, maps, bank, alpha):
+        rng = np.random.default_rng(44)
+        x3 = np.abs(rng.standard_normal(maps))
+        zs = rng.standard_normal(bank)
+        assert _gram_form(maps, bank)
+        got = composition_scores_stack(x3, zs, alpha)
+        np.testing.assert_allclose(got, composition_scores_unchunked(x3, zs, alpha), rtol=1e-13, atol=0.0)
+
+    def test_blocks_bit_equal_to_one_block(self):
+        # sessions-long evaluation: 3000 maps of 16 x 32 against 60 classes;
+        # a block holds 2048 map Grams of 32 x 32
+        rng = np.random.default_rng(45)
+        x3 = np.abs(rng.standard_normal((3000, 16, 32)))
+        zs = rng.standard_normal((60, 16, 32))
+        assert _gram_form(x3.shape, zs.shape)
+        assert 3000 * 8 * 32 * 32 > _BLOCK_BYTES
+        got = composition_scores_stack(x3, zs, 0.8)
+        assert got.tobytes() == composition_scores_gram_one_block(x3, zs, 0.8).tobytes()
+
+    def test_memory_stays_flat_as_the_batch_grows(self):
+        # a block holds 512 map Grams of 64 x 64, so 1024 and 2048 maps span
+        # 2 and 4 blocks; all 2048 map Grams would take 64 MB
+        rng = np.random.default_rng(41)
+        zs = rng.standard_normal((50, 64, 64))
+        assert 1024 * 8 * 64 * 64 >= 2 * _BLOCK_BYTES
+        assert _gram_form((1024, 4, 64), zs.shape) and _gram_form((2048, 4, 64), zs.shape)
+        small, large = peak_bytes(rng, zs, 1024, 4), peak_bytes(rng, zs, 2048, 4)
+        assert large < 1.25 * small
+        assert large < 2 * _BLOCK_BYTES
+
+    def test_vjp_scores_agree_with_the_forward(self):
+        # the vjp keeps the product form; the forward takes the Gram form
+        rng = np.random.default_rng(42)
+        x3 = rng.standard_normal((300, 16, 32))
+        zs = rng.standard_normal((60, 16, 32))
+        assert _gram_form(x3.shape, zs.shape)
+        scores, _ = composition_scores_stack(x3, zs, 1.0, _with_vjp=True)
+        np.testing.assert_allclose(scores, composition_scores_stack(x3, zs, 1.0), rtol=1e-13, atol=0.0)
+
+    def test_numerators_never_round_below_zero(self):
+        # maps and blocks in orthogonal channel subspaces: every numerator is
+        # 0 up to rounding, and the Gram inner products round to both signs
+        rng = np.random.default_rng(46)
+        q = np.linalg.qr(center_stack(rng.standard_normal((1, 16, 16)))[0].T)[0]
+        xc = center_stack(rng.standard_normal((20, 8, 4)) @ q[:, :4].T)
+        zc = center_stack(rng.standard_normal((10, 16, 4)) @ q[:, 4:8].T)
+        gx = (xc.transpose(0, 2, 1) @ xc).reshape(20, -1)
+        gz = (zc.transpose(0, 2, 1) @ zc).reshape(10, -1)
+        assert (gx @ gz.T < 0.0).any()
+        num = _gram_numerators(xc, zc)
+        assert num.min() >= 0.0
+        assert num.max() < 1e-12
+        assert composition_scores_stack(xc, zc).min() >= 0.0
+
+    def test_overflow_raises(self):
+        rng = np.random.default_rng(47)
+        x3 = rng.standard_normal((100, 8, 16))
+        zs = rng.standard_normal((40, 16, 16))
+        assert _gram_form(x3.shape, zs.shape)
+        x3[7, 2, 3] = 1e200  # finite, but its Gram overflows
+        with pytest.raises(NumericalFailure):
+            composition_scores_stack(x3, zs)
+        with pytest.raises(NumericalFailure):
+            composition_scores_stack(x3[:1], zs * 1e200)
+
+    def test_degenerate_map_or_block(self):
+        rng = np.random.default_rng(48)
+        x3 = rng.standard_normal((100, 8, 16))
+        zs = rng.standard_normal((40, 16, 16))
+        x3[5] = 3.0  # map 5 centers to zero
+        assert _gram_form(x3.shape, zs.shape)
+        with pytest.raises(DegenerateSet, match="map 5 "):
+            composition_scores_stack(x3, zs)
+        got = composition_scores_stack(x3, zs, on_degenerate="zero")
+        np.testing.assert_array_equal(got[5], np.zeros(40))
+        assert (np.delete(got, 5, axis=0) > 0.0).all()
+        zs[9] = -1.0  # block 9 centers to zero
+        with pytest.raises(DegenerateSet, match="class block 9 ") as info:
+            composition_scores_stack(x3[6:], zs)
+        assert info.value.class_id == 9
+        got = composition_scores_stack(x3, zs, on_degenerate="zero")
+        np.testing.assert_array_equal(got[:, 9], np.zeros(100))
+
+    def test_empty_batch_or_bank(self):
+        rng = np.random.default_rng(49)
+        x3 = rng.standard_normal((100, 8, 16))
+        zs = rng.standard_normal((40, 16, 16))
+        assert composition_scores_stack(x3[:0], zs).shape == (0, 40)
+        assert composition_scores_stack(x3, zs[:0]).shape == (100, 0)
+        xc, zc = center_stack(x3), center_stack(zs)
+        assert _gram_numerators(xc[:0], zc).shape == (0, 40)
+        np.testing.assert_array_equal(_gram_numerators(xc, zc[:0]), np.zeros((100, 0)))
+
+    @pytest.mark.parametrize(
+        "maps, bank, gram",
+        [
+            ((3000, 16, 32), (60, 16, 32), True),  # sessions-long evaluation
+            ((3000, 4, 32), (60, 16, 32), True),  # its importance filter, keep 4
+            ((3000, 1, 32), (60, 16, 32), False),  # keep 1
+            ((1500, 16, 32), (30, 16, 32), True),  # pipeline-default evaluation
+            ((25, 16, 32), (55, 16, 32), True),  # incremental fixed columns
+            ((100, 64, 512), (1000, 16, 512), False),  # eval-wide
+            ((100, 64, 512), (100, 16, 512), False),  # reference size
+            # cka_rc is one pair of (features, batch) sets
+            ((1, 512, 3000), (1, 256, 3000), False),  # eval-wide's generated pair
+            ((1, 32, 1500), (1, 30, 1500), False),  # pipeline-default's
+            ((1, 32, 3000), (1, 60, 3000), False),  # sessions-long's
+        ],
+    )
+    def test_rule_routes_the_benchmark_shapes(self, maps, bank, gram):
+        assert _gram_form(maps, bank) == gram
+
+    @pytest.mark.parametrize(
+        "maps, bank",
+        [
+            ((64, 16, 32), (20, 16, 32)),  # a base-training minibatch
+            ((25, 16, 32), (55, 16, 32)),  # a late incremental session
+        ],
+    )
+    def test_vjp_calls_keep_the_product(self, maps, bank):
+        rng = np.random.default_rng(50)
+        x3 = np.abs(rng.standard_normal(maps))
+        zs = rng.standard_normal(bank)
+        assert _gram_form(maps, bank)
+        scores, _ = composition_scores_stack(x3, zs, 0.8, _with_vjp=True)
+        assert scores.tobytes() == composition_scores_unchunked(x3, zs, 0.8).tobytes()
 
 
 class TestCosineScores:

@@ -494,6 +494,13 @@ class TestImportance:
                    "--keep", "99"])
         assert rc == 2
 
+    def test_base_only_checkpoint_is_data_error(self, work, capsys):
+        # the novel sessions' test labels are not registered in a base-only state
+        rc = main(["importance", "--ckpt", str(work["ck0"]), "--data", str(work["data"]),
+                   "--keep", "2"])
+        assert rc == 2
+        assert "not registered" in capsys.readouterr().err
+
 
 class TestReuseEval:
     def test_prints_retention_curve(self, work, capsys):

@@ -13,9 +13,12 @@ from compset import (
     init_primitive_bank,
     kmeans_centers,
 )
+from compset import primitives
+from compset.losses import _replacement_backward
 from compset.numkit import _BLOCK_BYTES
 from util import (
     attention_oracle,
+    attention_weights_unflushed,
     hard_nearest_replace_oracle,
     kmeans_centers_oracle,
     replaced_block_oracle,
@@ -303,6 +306,59 @@ class TestAttentionReplace:
         bank = small_bank(n_classes=3, n_primitives=2, d=4, seed=15)
         with pytest.raises(InvalidInput, match="not registered"):
             build_replaced(bank, {0: [1, 9], 1: [0, 2], 2: [0, 1]}, 2.0)
+
+
+class TestSubnormalFlush:
+    """Attention weights below the smallest normal float are 0."""
+
+    TINY = np.finfo(np.float64).tiny
+
+    @staticmethod
+    def replaced_both_ways(monkeypatch, sigma, seed):
+        bank = small_bank(n_classes=12, n_primitives=16, d=32, seed=seed, sigma=sigma)
+        donor_map = {c: [d for d in range(8) if d != c] for c in range(12)}
+        rb = build_replaced(bank, donor_map, 64.0)
+        monkeypatch.setattr(primitives, "_attention_weights", attention_weights_unflushed)
+        return bank, rb, build_replaced(bank, donor_map, 64.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_the_unflushed_softmax(self, monkeypatch, seed):
+        # at sigma 0.5, about 3% of the unflushed weights are subnormal
+        bank, rb, rb_plain = self.replaced_both_ways(monkeypatch, 0.5, seed)
+        plain = np.concatenate([a.ravel() for a in rb_plain.attention])
+        assert ((plain > 0.0) & (plain < self.TINY)).mean() > 0.01
+        flushed = np.concatenate([a.ravel() for a in rb.attention])
+        assert not ((flushed > 0.0) & (flushed < self.TINY)).any()
+        np.testing.assert_array_equal(flushed[plain >= self.TINY], plain[plain >= self.TINY])
+        assert rb.Z_hat.tobytes() == rb_plain.Z_hat.tobytes()
+        g = np.random.default_rng(seed).standard_normal(rb.Z_hat.shape)
+        for stop in (False, True):
+            got = _replacement_backward(bank, rb, g, 64.0, stop)
+            assert got.tobytes() == _replacement_backward(bank, rb_plain, g, 64.0, stop).tobytes()
+
+    def test_weight_that_normalises_below_tiny_is_flushed(self):
+        # exp of the far donor's logit is just above TINY, so it is computed;
+        # shared between two equal nearest donors, its weight is subnormal
+        z = np.zeros((2, 3, 2))
+        z[1, 2, 0] = np.sqrt(-np.log(self.TINY) - 0.1)
+        bank = PrimitiveBank([0, 1], z, np.zeros(2, dtype=bool))
+        _, att = replace_one(bank, 0, [1], 1.0)
+        plain = attention_weights_unflushed(z[0], z[1], 1.0)
+        assert 0.0 < plain[0, 2] < self.TINY
+        np.testing.assert_array_equal(att[:, :2], plain[:, :2])
+        assert (att[:, 2] == 0.0).all()
+
+    def test_only_sums_of_subnormal_terms_move(self, monkeypatch):
+        # a donor row that only far targets reach gets nothing but subnormal
+        # terms; flushed, its gradient is 0 instead of a few times TINY
+        bank, rb, rb_plain = self.replaced_both_ways(monkeypatch, 1.0, 2)
+        g = np.random.default_rng(2).standard_normal(rb.Z_hat.shape)
+        got = _replacement_backward(bank, rb, g, 64.0, False)
+        want = _replacement_backward(bank, rb_plain, g, 64.0, False)
+        moved = got != want
+        assert moved.any()
+        assert (got[moved] == 0.0).all()
+        assert np.abs(want[moved]).max() < 8 * self.TINY
 
 
 class TestHardNearestReplace:

@@ -40,6 +40,7 @@ from compset.protocol import (
 )
 from compset.seeding import seed_sequence
 from compset.training import ModelState
+from util import evaluate_sessions_per_sample
 
 CFG = SynthConfig(
     pool_size=20,
@@ -291,6 +292,15 @@ class TestEvaluateSessions:
                 novel = 100.0 * float(np.mean(npred == batch.labels[~is_base]))
                 assert abs(rep.sessions[k].novel - novel) < 1e-9
 
+    @pytest.mark.parametrize("head", HEADS)
+    def test_matches_the_per_sample_oracle(self, default_runs, head):
+        for run in default_runs.values():
+            for st in (run["state"], run["state_no_rcmp"]):
+                rep = evaluate_sessions(st, run["ds"].test, head)
+                want = evaluate_sessions_per_sample(st, run["ds"].test, head)
+                assert rep == want
+                assert rep.to_json_dict() == want.to_json_dict()
+
     def test_sample_counts_accumulate(self, state, ds):
         rep = evaluate_sessions(state, ds.test)
         sizes = [len(ds.test[k]) for k in range(3)]
@@ -489,6 +499,14 @@ class TestImportanceFilter:
     def test_empty_batch_rejected(self, state, ds):
         with pytest.raises(InvalidInput, match="empty"):
             importance_filter_eval(state, _empty_like(ds.test[0]), [1])
+
+    @pytest.mark.parametrize("by_true_label", [False, True])
+    def test_unregistered_label_rejected(self, by_true_label):
+        st = perfect_state()
+        batch = FeatureBatch.concat([perfect_tests(st)[k] for k in range(2)])
+        bad = replace(batch, labels=np.where(batch.labels == 2, 9, batch.labels))
+        with pytest.raises(InvalidInput, match=r"labels not registered: \[9\]"):
+            importance_filter_eval(st, bad, [1], rank_by_true_label=by_true_label)
 
 
 class TestRetrievalExport:

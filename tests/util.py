@@ -7,6 +7,9 @@ against these.  The two training references at the end are the loss and
 the incremental loop as they were before the fixed/live column split.
 The two nearest-row references are k-means and hard replacement as
 brute-force searches: the full (P, k, d) broadcast and a loop over picks.
+The attention and evaluation references keep the arithmetic the package
+had before subnormal weights were flushed and before the confusion counts
+came from one bincount.
 """
 
 import numpy as np
@@ -27,6 +30,8 @@ from compset import (
 )
 from compset.cka import center_stack, gram_frobenius_stack, power_transform_stack
 from compset.losses import _ce_rows, _cls_core, _replacement_backward
+from compset.numkit import softmax_rows
+from compset.protocol import EvalReport, SessionEval, performance_drop, score_matrix
 from compset.seeding import substream
 from compset.training import _mean_feature_rows
 
@@ -77,6 +82,18 @@ def composition_scores_unchunked(X3, Zstack, alpha: float = 1.0) -> np.ndarray:
     (bsz, n, d), (ncls, npr, _) = Xc.shape, Zc.shape
     prod = (Xc.reshape(bsz * n, d) @ Zc.reshape(ncls * npr, d).T).reshape(bsz, n, ncls, npr)
     num = np.einsum("bnkm,bnkm->bk", prod, prod)
+    return num / (gram_frobenius_stack(Xc)[:, None] * gram_frobenius_stack(Zc)[None, :])
+
+
+def composition_scores_gram_one_block(X3, Zstack, alpha: float = 1.0) -> np.ndarray:
+    """composition_scores_stack's Gram form with every map Gram in one
+    block: <Xc^T Xc, Zc^T Zc>_F as one (B, d^2) x (d^2, C) GEMM."""
+    Xc = center_stack(power_transform_stack(X3, alpha))
+    Zc = center_stack(np.asarray(Zstack, dtype=np.float64))
+    (bsz, _, d), ncls = Xc.shape, len(Zc)
+    gx = (Xc.transpose(0, 2, 1) @ Xc).reshape(bsz, d * d)
+    gz = (Zc.transpose(0, 2, 1) @ Zc).reshape(ncls, d * d)
+    num = np.maximum(gx @ gz.T, 0.0)
     return num / (gram_frobenius_stack(Xc)[:, None] * gram_frobenius_stack(Zc)[None, :])
 
 
@@ -173,6 +190,14 @@ def attention_oracle(p_row: np.ndarray, donors: np.ndarray, gamma: float) -> np.
     logits -= logits.max()
     e = np.exp(logits)
     return e / e.sum()
+
+
+def attention_weights_unflushed(targets: np.ndarray, donors: np.ndarray, gamma: float) -> np.ndarray:
+    """primitives._attention_weights without the subnormal flush: a plain
+    row softmax of -gamma times the squared distances."""
+    diff = targets[:, None, :] - donors[None, :, :]
+    sq = np.einsum("ikd,ikd->ik", diff, diff)
+    return softmax_rows(-gamma * sq)
 
 
 def replaced_block_oracle(block: np.ndarray, donors: np.ndarray, gamma: float) -> np.ndarray:
@@ -303,3 +328,45 @@ def train_incremental_oracle(state, shots, hp, loss_and_grad=total_loss_and_grad
         bank.Z, vZ = sgd_step(bank.Z, g.dZ, vZ, hp.lr, hp.momentum, mask=~bank.frozen)
         history.append(loss)
     return bank.Z, weights.W, history
+
+
+def evaluate_sessions_per_sample(state, test_sets, head: str = "composition") -> EvalReport:
+    """evaluate_sessions with per-sample Python bookkeeping: label columns
+    from a dict, class sessions per sample, and the confusion counts from a
+    loop over (truth, prediction) pairs."""
+    nses = state.sessions_seen
+    ids = np.array(state.bank.class_ids)
+    session_of = np.array([state.class_sessions[c] for c in state.bank.class_ids])
+    batches = [test_sets[k] for k in range(nses)]
+    full = FeatureBatch.concat(batches)
+    scores = score_matrix(state, full.X, head)
+    col_of = {c: i for i, c in enumerate(state.bank.class_ids)}
+    true_cols = np.array([col_of[int(c)] for c in full.labels])
+    sample_session = np.array([state.class_sessions[int(c)] for c in full.labels])
+    out = []
+    for k in range(nses):
+        cand_cols = np.flatnonzero(session_of <= k)
+        rows = np.flatnonzero(sample_session <= k)
+        pred_cols = cand_cols[np.argmax(scores[np.ix_(rows, cand_cols)], axis=1)]
+        truth = true_cols[rows]
+        correct = pred_cols == truth
+        is_base = sample_session[rows] == 0
+        novel_acc = None
+        if k >= 1:
+            novel_cols = cand_cols[session_of[cand_cols] >= 1]
+            nrows = rows[~is_base]
+            npred = novel_cols[np.argmax(scores[np.ix_(nrows, novel_cols)], axis=1)]
+            novel_acc = 100.0 * float(np.mean(npred == true_cols[nrows]))
+        confusion: dict[int, dict[int, int]] = {}
+        for t, p in zip(ids[truth], ids[pred_cols]):
+            confusion.setdefault(int(t), {}).setdefault(int(p), 0)
+            confusion[int(t)][int(p)] += 1
+        out.append(SessionEval(
+            session=k, n_samples=len(rows), n_candidates=len(cand_cols),
+            overall=100.0 * float(np.mean(correct)), base=100.0 * float(np.mean(correct[is_base])),
+            novel=novel_acc, confusion=confusion,
+        ))
+    return EvalReport(
+        head=head, seed=state.hp.seed, sessions=out,
+        performance_drop=performance_drop([s.overall for s in out]),
+    )
