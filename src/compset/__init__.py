@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .cka import (
     allmatch_similarity,
-    center_rows,
     cka_rc,
     composition_scores_stack,
     linear_cka,
@@ -49,7 +48,6 @@ from .losses import (
     fixed_columns,
     total_loss_and_grad,
 )
-from .numkit import central_diff_grad
 from .primitives import (
     PrimitiveBank,
     ReplacedBank,

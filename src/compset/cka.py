@@ -22,15 +22,35 @@ Grams.  A call without a gradient takes the Gram form when the class
 Grams fit one block and it needs fewer multiply-adds; a call with a
 gradient keeps the product, which the gradient reuses.
 `linear_cka` is one pair of it; `cka_rc`, the CKA of two representations
-of one batch, is `linear_cka` of their transposes.  `cosine_scores_stack`
-computes the plain mean/max cosine comparators for the evaluation heads
-and `allmatch_similarity`.  The match weights and patch importances, which
-apportion a pair's score exactly, share one centring helper; importances
-take a whole stack of (map, block) pairs in one call.
+of one batch, is `linear_cka` of their transposes.
+
+The kernel's map operand can come prepared: `prepare_maps` power-transforms
+and row-centres a stack once and keeps each map's a = ||Xc Xc^T||_F, as a
+`PreparedMaps`.  Every step of that works entry by entry, patch row by
+patch row or map by map, so maps or patches sliced from a prepared stack
+hold the same bytes as a stack prepared from the slice.  An analysis or a
+training step prepares its maps once and hands the result to every call
+that scores them.
+
+`edited_scores` scores prepared maps against a bank and against copies of
+it with some rows replaced, as the reuse analysis needs.  With Xc
+row-centred, ||Xc Zc^T||_F^2 = sum_j ||Xc zc_j||^2 over the rows zc_j of
+Zc, so every row contributes on its own: a table of row contributions,
+built a block of maps at a time, holds each original row and each
+distinct replacement row once, and each copy's numerators are a gather of
+its rows and a sum over them.  The sum runs in another order than the
+product form's, so its scores differ from the kernel's in the last bits.
+
+`cosine_scores_stack` computes the plain mean/max cosine comparators for
+the evaluation heads and `allmatch_similarity`.  The match weights and
+patch importances, which apportion a pair's score exactly, share one
+centring helper; importances take a whole stack of (map, block) pairs in
+one call.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -46,15 +66,6 @@ def _set_matrix(X, name: str) -> Matrix:
     return m
 
 
-def center_rows(X) -> Matrix:
-    """Subtract each row's mean across channels.
-
-    Equivalent to right-multiplying by the projector J = I - (1/d) 11^T;
-    applying it twice is a no-op.
-    """
-    return center_stack(_set_matrix(X, "X")[None])[0]
-
-
 def _pair(X, Z) -> tuple[Matrix, Matrix]:
     Xm = _set_matrix(X, "X")
     Zm = _set_matrix(Z, "Z")
@@ -63,24 +74,21 @@ def _pair(X, Z) -> tuple[Matrix, Matrix]:
     return Xm, Zm
 
 
-def _centered_products(X3: np.ndarray, Z3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _centered_products(maps: "PreparedMaps", Z3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Xc_b Zc_b^T (B, n, N) and a_b * b_b (B,) of each (map, block) pair
-    of two finite stacks with equal B and d.  A set that centers to zero
-    raises DegenerateSet naming its index.  As in composition_scores_stack,
-    a non-finite a * b (finite inputs whose Gram overflows) raises
-    NumericalFailure."""
-    if X3.shape[2] < 2:
-        raise DegenerateInput("need at least 2 channels to center")
+    of prepared maps and a finite stack of blocks with equal B and d.  A
+    set that centers to zero raises DegenerateSet naming its index.  As in
+    composition_scores_stack, a non-finite a * b (finite inputs whose Gram
+    overflows) raises NumericalFailure."""
+    a = maps.a
     with np.errstate(over="ignore", invalid="ignore"):
-        Xc = center_stack(X3)
         Zc = center_stack(Z3)
-        a = gram_frobenius_stack(Xc)
         b = gram_frobenius_stack(Zc)
         if np.any(a == 0.0):
             raise DegenerateSet(f"map {int(np.argmax(a == 0.0))} centers to zero; similarity undefined")
         if np.any(b == 0.0):
             raise DegenerateSet(f"block {int(np.argmax(b == 0.0))} centers to zero; similarity undefined")
-        return Xc @ Zc.transpose(0, 2, 1), _finite(a * b)
+        return maps.Xc @ Zc.transpose(0, 2, 1), _finite(a * b)
 
 
 def _finite(v: np.ndarray) -> np.ndarray:
@@ -116,7 +124,7 @@ def match_weights(X, Z) -> np.ndarray:
     weights exactly apportion the score across pairs.
     """
     Xm, Zm = _pair(X, Z)
-    prod, ab = _centered_products(Xm[None], Zm[None])
+    prod, ab = _centered_products(prepare_maps(Xm[None]), Zm[None])
     return _finite(prod / ab[:, None, None])[0]
 
 
@@ -126,20 +134,22 @@ def patch_importance(X, Z) -> np.ndarray:
     Nonnegative, and sums to linear_cka(X, Z); the ranking drives the
     patch-filtering analysis.  One pair X (n, d), Z (N, d) gives (n,); a
     stack of maps X (B, n, d) against one block per map Z (B, N, d) gives
-    (B, n) in one call.
+    (B, n) in one call.  X may be `PreparedMaps`, whose power transform and
+    centring are then not redone.
     """
     if np.ndim(X) == 2 and np.ndim(Z) == 2:
         Xm, Zm = _pair(X, Z)
         return patch_importance(Xm[None], Zm[None])[0]
-    X3 = np.asarray(X, dtype=np.float64)
+    raw = not isinstance(X, PreparedMaps)
+    X3 = np.asarray(X, dtype=np.float64) if raw else X
     Z3 = np.asarray(Z, dtype=np.float64)
-    if X3.ndim != 3 or Z3.ndim != 3 or len(X3) != len(Z3):
+    if len(X3.shape) != 3 or Z3.ndim != 3 or len(X3) != len(Z3):
         raise InvalidInput("need one pair (n, d), (N, d) or stacks (B, n, d), (B, N, d) of equal B")
     if X3.shape[2] != Z3.shape[2]:
         raise InvalidInput("channel mismatch between maps and primitive blocks")
-    if not (np.isfinite(X3).all() and np.isfinite(Z3).all()):
+    if (raw and not np.isfinite(X3).all()) or not np.isfinite(Z3).all():
         raise InvalidInput("maps or blocks contain non-finite entries")
-    prod, ab = _centered_products(X3, Z3)
+    prod, ab = _centered_products(prepare_maps(X3) if raw else X3, Z3)
     return _finite((prod * prod).sum(axis=2) / ab[:, None])
 
 
@@ -211,6 +221,52 @@ def gram_frobenius_stack(Tc: np.ndarray) -> np.ndarray:
     else:
         g = Tc.transpose(0, 2, 1) @ Tc
     return np.sqrt(np.einsum("bij,bij->b", g, g))
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedMaps:
+    """A (B, n, d) stack of maps ready for scoring: power-transformed at
+    ``alpha``, every patch row centred, and each map's a = ||Xc Xc^T||_F.
+
+    ``shape`` and ``len`` are the stack's, so a prepared stack stands in
+    for the raw one wherever only its shape is read.  Made by
+    `prepare_maps`; its arrays are shared, not copied, by every call that
+    scores it.
+    """
+
+    Xc: np.ndarray  # (B, n, d)
+    a: np.ndarray  # (B,)
+    alpha: float
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.Xc.shape
+
+    def __len__(self) -> int:
+        return len(self.Xc)
+
+    def keep_patches(self, sel: np.ndarray) -> "PreparedMaps":
+        """Patches sel[b] (B, k) of every map b.  Centring is per patch, so
+        only a, which spans a map's patches, is computed again."""
+        Xc = np.take_along_axis(self.Xc, sel[:, :, None], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return PreparedMaps(Xc, gram_frobenius_stack(Xc), self.alpha)
+
+
+def prepare_maps(X3, alpha: float = 1.0) -> PreparedMaps:
+    """Power-transform and row-centre a (B, n, d) stack once, for every
+    call that scores it.  Non-finite entries are not checked here: they,
+    and finite maps whose Gram overflows, give a non-finite a that the
+    scoring calls reject with NumericalFailure."""
+    X3 = np.asarray(X3, dtype=np.float64)
+    if X3.ndim != 3:
+        raise InvalidInput(f"maps must be (B, n, d), got ndim={X3.ndim}")
+    if X3.shape[2] < 2:
+        raise DegenerateInput("need at least 2 channels to center")
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xc = power_transform_stack(X3, alpha)  # a new array: center it in place
+        center_stack(Xc, out=Xc)
+        return PreparedMaps(Xc, gram_frobenius_stack(Xc), alpha)
 
 
 def _gram_form(maps_shape, blocks_shape) -> bool:
@@ -285,9 +341,10 @@ def composition_scores_stack(
 ):
     """Composition scores of every map against every class block.
 
-    X3 is (B, n, d) raw maps, Zstack is (C, N, d) raw primitive blocks; the
-    result is (B, C).  ``on_degenerate`` chooses between raising
-    DegenerateSet and scoring the offending pairs 0.0 (evaluation policy).
+    X3 is (B, n, d) raw maps, or `PreparedMaps` prepared at ``alpha``;
+    Zstack is (C, N, d) raw primitive blocks; the result is (B, C).
+    ``on_degenerate`` chooses between raising DegenerateSet and scoring
+    the offending pairs 0.0 (evaluation policy).
     A non-finite a, b or score (finite inputs whose Gram overflows) raises
     NumericalFailure.
 
@@ -304,21 +361,23 @@ def composition_scores_stack(
     """
     if on_degenerate not in ("raise", "zero"):
         raise InvalidInput("on_degenerate must be 'raise' or 'zero'")
-    X3 = np.asarray(X3, dtype=np.float64)
+    maps = X3 if isinstance(X3, PreparedMaps) else np.asarray(X3, dtype=np.float64)
     Zs = np.asarray(Zstack, dtype=np.float64)
-    if X3.ndim != 3 or Zs.ndim != 3:
+    if len(maps.shape) != 3 or Zs.ndim != 3:
         raise InvalidInput("X3 must be (B, n, d) and Zstack (C, N, d)")
-    if X3.shape[2] != Zs.shape[2]:
+    if maps.shape[2] != Zs.shape[2]:
         raise InvalidInput("channel mismatch between maps and primitive blocks")
-    if X3.shape[2] < 2:
+    if maps.shape[2] < 2:
         raise DegenerateInput("need at least 2 channels to center")
+    if not isinstance(maps, PreparedMaps):
+        maps = prepare_maps(maps, alpha)
+    elif maps.alpha != alpha:
+        raise InvalidInput(f"maps were prepared at alpha={maps.alpha}, not {alpha}")
+    Xc, a = maps.Xc, maps.a
     # a finite map can still overflow its Gram or the product: under
     # ignored warnings every non-finite a, b or score is caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        Xc = power_transform_stack(X3, alpha)  # a new array: center it in place
-        center_stack(Xc, out=Xc)
         Zc = center_stack(Zs)
-        a = gram_frobenius_stack(Xc)
         b = gram_frobenius_stack(Zc)
         bad_a = a == 0.0
         bad_b = b == 0.0
@@ -330,7 +389,7 @@ def composition_scores_stack(
                 raise DegenerateSet(f"class block {idx} centers to zero", class_id=idx)
         a = np.where(bad_a, 1.0, a)
         b = np.where(bad_b, 1.0, b)
-        if _with_vjp or not _gram_form(X3.shape, Zs.shape):
+        if _with_vjp or not _gram_form(Xc.shape, Zs.shape):
             num, prod = _product_numerators(Xc, Zc, one_block=_with_vjp)
         else:
             num = _gram_numerators(Xc, Zc)
@@ -357,6 +416,93 @@ def composition_scores_stack(
         return dZc - dZc.mean(axis=2, keepdims=True)
 
     return scores, vjp
+
+
+def _block_norms(Zs: np.ndarray, blocks: np.ndarray, rows=None, new_rows=None, which=None) -> np.ndarray:
+    """||Zc_c Zc_c^T||_F of the blocks Zs[blocks], after writing
+    new_rows[which] into the flat rows ``rows`` of Zs (rows inside those
+    blocks), centring the blocks a budget's worth at a time."""
+    ncls, npr, d = Zs.shape
+    out = np.empty(len(blocks))
+    step = _row_step(8 * npr * d)
+    if rows is not None:
+        local = np.searchsorted(blocks, rows // npr)
+    for i0 in range(0, len(blocks), step):
+        chunk = Zs[blocks[i0 : i0 + step]]  # a copy
+        if rows is not None:
+            sel = (local >= i0) & (local < i0 + step)
+            chunk.reshape(-1, d)[(local[sel] - i0) * npr + rows[sel] % npr] = new_rows[which[sel]]
+        out[i0 : i0 + step] = gram_frobenius_stack(center_stack(chunk, out=chunk))
+    return out
+
+
+def edited_scores(maps: PreparedMaps, Zstack, new_rows, edits) -> np.ndarray:
+    """Scores (1 + E, B, C) of prepared maps against the blocks Zstack
+    (C, N, d) and against E edited copies of them.
+
+    An edit ``(rows, which)`` writes new_rows[which] into the distinct rows
+    ``rows`` (k,) of Zstack.reshape(C * N, d); ``new_rows`` (M, d) holds
+    every replacement row once.  As in evaluation, a map or block that
+    centres to zero, an edited block included, scores 0.0; a non-finite
+    a, b or score raises NumericalFailure.
+
+    A numerator is a sum over a block's rows of T[b, j] = ||Xc_b zc_j||^2.
+    T holds every row of Zstack and of new_rows once; it is built a block
+    of maps at a time, as GEMMs of about square shape whose buffer, like T
+    and one copy's gathered rows, fits the byte budget.  Each copy gathers
+    its rows of T and sums every block's N of them; only the edited
+    blocks' b is computed again.  The sum runs over patches and then over
+    rows, so the scores differ from the kernel's in the last bits.
+    """
+    Zs = np.asarray(Zstack, dtype=np.float64)
+    new_rows = np.asarray(new_rows, dtype=np.float64).reshape(-1, maps.shape[2])
+    if Zs.ndim != 3 or Zs.shape[2] != maps.shape[2]:
+        raise InvalidInput("Zstack must be (C, N, d) with the maps' channels")
+    bsz, n, d = maps.shape
+    ncls, npr, _ = Zs.shape
+    sources = ((Zs.reshape(ncls * npr, d), 0), (new_rows, ncls * npr))  # the rows of T
+    cols = np.tile(np.arange(ncls * npr), (1 + len(edits), 1))
+    a = maps.a
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.tile(_block_norms(Zs, np.arange(ncls)), (1 + len(edits), 1))
+        for e, (rows, which) in enumerate(edits, 1):
+            rows = np.asarray(rows, dtype=np.int64)
+            cols[e, rows] = ncls * npr + np.asarray(which)
+            blocks = np.unique(rows // npr)
+            b[e, blocks] = _block_norms(Zs, blocks, rows, new_rows, np.asarray(which))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericalFailure("composition scores overflow: a map or block is too large to score")
+    bad_a = a == 0.0
+    bad_b = b == 0.0
+    a = np.where(bad_a, 1.0, a)
+    b = np.where(bad_b, 1.0, b)
+
+    nrows = ncls * npr + len(new_rows)
+    mb = max(1, min(bsz, isqrt(_BLOCK_BYTES // 8) // n, _row_step(8 * nrows) // 4))
+    rb = _row_step(8 * max(mb * n, d))
+    buf = np.empty(mb * n * min(rb, nrows))
+    zbuf = np.empty((min(rb, nrows), d))
+    table = np.empty((mb, nrows))
+    scores = np.empty((len(cols), bsz, ncls))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b0 in range(0, bsz, mb):
+            xf = maps.Xc[b0 : b0 + mb].reshape(-1, d)
+            m = len(xf) // n
+            for src, c0 in sources:
+                for r0 in range(0, len(src), rb):
+                    z = src[r0 : r0 + rb]
+                    zc = np.subtract(z, z.mean(axis=1, keepdims=True), out=zbuf[: len(z)])
+                    k = len(zc)
+                    prod = np.matmul(xf, zc.T, out=buf[: m * n * k].reshape(m * n, k)).reshape(m, n, k)
+                    np.einsum("bnr,bnr->br", prod, prod, out=table[:m, c0 + r0 : c0 + r0 + k])
+            for e, c in enumerate(cols):
+                num = table[:m, c].reshape(m, ncls, npr).sum(axis=2)
+                scores[e, b0 : b0 + m] = num / (a[b0 : b0 + m, None] * b[e])
+    if not np.isfinite(scores).all():
+        raise NumericalFailure("composition scores overflow: a map or block is too large to score")
+    scores[:, bad_a, :] = 0.0
+    scores[np.broadcast_to(bad_b[:, None, :], scores.shape)] = 0.0
+    return scores
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:

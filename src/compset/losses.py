@@ -20,6 +20,10 @@ one of its donors.  Fixed columns enter only the softmax normaliser; only
 the live columns are replaced, scored and backpropagated.  A caller that
 reuses one batch under one mask (an incremental session) computes the
 fixed columns once with `fixed_columns` and hands them back in.
+
+A loss call power-transforms and centres its batch once (`prepare_maps`)
+and both composition heads score that; `FixedColumns` keeps the prepared
+batch, so an incremental session prepares its shots once.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cka import composition_scores_stack
+from .cka import PreparedMaps, composition_scores_stack, prepare_maps
 from .data import FeatureBatch
 from .errors import DegenerateInput, DegenerateSet, InvalidInput
-from .numkit import logsumexp_rows, softmax_rows
+from .numkit import _positions, logsumexp_rows, softmax_rows
 from .primitives import PrimitiveBank, ReplacedBank, build_replaced
 
 
@@ -108,11 +112,11 @@ class Grads:
 
 
 def _label_columns(labels: np.ndarray, class_ids: list[int]) -> np.ndarray:
-    col = {c: i for i, c in enumerate(class_ids)}
-    try:
-        return np.array([col[int(y)] for y in labels], dtype=np.int64)
-    except KeyError as e:
-        raise InvalidInput(f"label {e.args[0]} is not a registered class") from None
+    labels = np.asarray(labels, dtype=np.int64)
+    cols, missing = _positions(class_ids, labels)
+    if missing.any():
+        raise InvalidInput(f"label {int(labels[missing][0])} is not a registered class")
+    return cols
 
 
 def _ce_rows(logits: np.ndarray, label_idx: np.ndarray) -> tuple[float, np.ndarray]:
@@ -144,14 +148,16 @@ def _cls_core(X3, label_idx, W, tau):
     return loss, dW
 
 
-def _scores_with_class_errors(X3, Zstack, alpha, class_ids, with_vjp=False):
-    """Stack scoring that reports degenerate blocks by registered class id
-    (the stack itself only knows block positions).  No class gives (B, 0)
-    without the kernel, which would still transform the whole batch."""
+def _scores_with_class_errors(maps: PreparedMaps, Zstack, class_ids, with_vjp=False):
+    """Stack scoring of prepared maps that reports degenerate blocks by
+    registered class id (the stack itself only knows block positions).  No
+    class gives (B, 0) without the kernel."""
     if not class_ids:
-        return np.empty((X3.shape[0], 0))
+        return np.empty((maps.shape[0], 0))
     try:
-        return composition_scores_stack(X3, Zstack, alpha, on_degenerate="raise", _with_vjp=with_vjp)
+        return composition_scores_stack(
+            maps, Zstack, maps.alpha, on_degenerate="raise", _with_vjp=with_vjp
+        )
     except DegenerateSet as e:
         if e.class_id is None:
             raise
@@ -163,7 +169,7 @@ def _ids(bank: PrimitiveBank, mask: np.ndarray) -> list[int]:
     return [c for c, m in zip(bank.class_ids, mask) if m]
 
 
-def _head_core(X3, label_idx, Zlive, live, fixed, tau, alpha, live_ids):
+def _head_core(maps, label_idx, Zlive, live, fixed, tau, live_ids):
     """Cross entropy of one composition head over all of its columns.
 
     Only the live columns (blocks Zlive, registered as live_ids) are scored
@@ -171,11 +177,11 @@ def _head_core(X3, label_idx, Zlive, live, fixed, tau, alpha, live_ids):
     normaliser.  Returns the loss and d(loss)/d(Zlive), or None for the
     gradient when no column is live.
     """
-    scores = np.empty((X3.shape[0], len(live)))
+    scores = np.empty((maps.shape[0], len(live)))
     scores[:, ~live] = fixed
     if not live.any():
         return _ce_rows(tau * scores, label_idx)[0], None
-    scores[:, live], vjp = _scores_with_class_errors(X3, Zlive, alpha, live_ids, with_vjp=True)
+    scores[:, live], vjp = _scores_with_class_errors(maps, Zlive, live_ids, with_vjp=True)
     loss, dlogit = _ce_rows(tau * scores, label_idx)
     return loss, vjp(tau * dlogit[:, live])
 
@@ -213,11 +219,11 @@ def _replacement_backward(bank, rb: ReplacedBank, dZhat, gamma, stop_attention_g
     return dZ
 
 
-def _rcmp_core(X3, label_idx, bank, donor_map, live, fixed, hp: Hyperparams):
+def _rcmp_core(maps, label_idx, bank, donor_map, live, fixed, hp: Hyperparams):
     """Replaced-composition cross entropy; the live columns' replaced sets
     are rebuilt from the current bank on every call."""
     rb = build_replaced(bank, donor_map, hp.gamma, _ids(bank, live))
-    loss, dZhat = _head_core(X3, label_idx, rb.Z_hat, live, fixed, hp.tau, hp.alpha, rb.class_ids)
+    loss, dZhat = _head_core(maps, label_idx, rb.Z_hat, live, fixed, hp.tau, rb.class_ids)
     if dZhat is None:
         return loss, None
     return loss, _replacement_backward(bank, rb, dZhat, hp.gamma, hp.stop_attention_grad)
@@ -234,16 +240,16 @@ def _replaced_live(bank: PrimitiveBank, donor_map, tz: np.ndarray) -> np.ndarray
     )
 
 
-def _fixed_columns(X3, bank, donor_map, hp: Hyperparams, tz):
-    """(live replaced columns, fixed cmp scores, fixed rcmp scores); a head
-    whose loss weight is 0 gets None."""
+def _fixed_columns(maps, bank, donor_map, hp: Hyperparams, tz):
+    """(live replaced columns, fixed cmp scores, fixed rcmp scores) of
+    prepared maps; a head whose loss weight is 0 gets None."""
     live_rcmp = _replaced_live(bank, donor_map, tz)
     cmp = rcmp = None
     if hp.lambda1 != 0.0:
-        cmp = _scores_with_class_errors(X3, bank.Z[~tz], hp.alpha, _ids(bank, ~tz))
+        cmp = _scores_with_class_errors(maps, bank.Z[~tz], _ids(bank, ~tz))
     if hp.lambda2 != 0.0:
         rb = build_replaced(bank, donor_map, hp.gamma, _ids(bank, ~live_rcmp))
-        rcmp = _scores_with_class_errors(X3, rb.Z_hat, hp.alpha, rb.class_ids)
+        rcmp = _scores_with_class_errors(maps, rb.Z_hat, rb.class_ids)
     return live_rcmp, cmp, rcmp
 
 
@@ -257,13 +263,15 @@ class FixedColumns:
 
     Made by `fixed_columns` and handed to `total_loss_and_grad`, which
     checks that the batch, registry, mask, frozen blocks, donors, alpha and
-    gamma are still the ones recorded here.
+    gamma are still the ones recorded here, and then scores the live
+    columns of the batch prepared here.
     """
 
     live_rcmp: np.ndarray  # (C,) bool: replaced-head columns that can move
     cmp: np.ndarray | None  # (B, #fixed): composition scores; None when lambda1 == 0
     rcmp: np.ndarray | None  # (B, #fixed): replaced scores; None when lambda2 == 0
     maps: np.ndarray
+    prepared: PreparedMaps  # maps, power-transformed at alpha and centred
     trainable_z: np.ndarray
     frozen_blocks: np.ndarray  # bank.Z[~trainable_z]
     class_ids: tuple[int, ...]
@@ -324,12 +332,14 @@ def fixed_columns(
     hp.validate()
     X3, _ = _checked_maps(batch, bank)
     tz = _trainable_z(bank, trainable_z)
-    live_rcmp, cmp, rcmp = _fixed_columns(X3, bank, donor_map, hp, tz)
+    prepared = prepare_maps(X3, hp.alpha)
+    live_rcmp, cmp, rcmp = _fixed_columns(prepared, bank, donor_map, hp, tz)
     return FixedColumns(
         live_rcmp=live_rcmp,
         cmp=cmp,
         rcmp=rcmp,
         maps=X3.copy(),
+        prepared=prepared,
         trainable_z=tz.copy(),
         frozen_blocks=bank.Z[~tz],
         class_ids=tuple(bank.class_ids),
@@ -371,8 +381,10 @@ def total_loss_and_grad(
     if not (tz.any() or (include_cls and tw.any())):
         raise InvalidInput("nothing to train: every parameter is masked")
     if fixed is None:
-        live_rcmp, fixed_cmp, fixed_rcmp = _fixed_columns(X3, bank, donor_map, hp, tz)
+        maps = prepare_maps(X3, hp.alpha)
+        live_rcmp, fixed_cmp, fixed_rcmp = _fixed_columns(maps, bank, donor_map, hp, tz)
     elif fixed.matches(X3, bank, donor_map, hp, tz):
+        maps = fixed.prepared
         live_rcmp, fixed_cmp, fixed_rcmp = fixed.live_rcmp, fixed.cmp, fixed.rcmp
     else:
         raise InvalidInput("fixed columns were made from another batch, bank, mask or settings")
@@ -385,14 +397,12 @@ def total_loss_and_grad(
         total += loss
         dW += g
     if hp.lambda1 != 0.0:
-        loss, g = _head_core(
-            X3, label_idx, bank.Z[tz], tz, fixed_cmp, hp.tau, hp.alpha, _ids(bank, tz)
-        )
+        loss, g = _head_core(maps, label_idx, bank.Z[tz], tz, fixed_cmp, hp.tau, _ids(bank, tz))
         total += hp.lambda1 * loss
         if g is not None:
             dZ[tz] += hp.lambda1 * g
     if hp.lambda2 != 0.0:
-        loss, g = _rcmp_core(X3, label_idx, bank, donor_map, live_rcmp, fixed_rcmp, hp)
+        loss, g = _rcmp_core(maps, label_idx, bank, donor_map, live_rcmp, fixed_rcmp, hp)
         total += hp.lambda2 * loss
         if g is not None:
             dZ += hp.lambda2 * g

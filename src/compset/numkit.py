@@ -12,11 +12,9 @@ of :func:`_nearest_rows`.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput
 
 Matrix = np.ndarray
 
@@ -55,29 +53,15 @@ def logsumexp_rows(logits: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
 
 
-def central_diff_grad(f: Callable[[np.ndarray], float], theta, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector.
-
-    g_i = (f(theta + eps e_i) - f(theta - eps e_i)) / (2 eps).  Used as the
-    independent oracle for every analytic gradient in the package.
-    """
-    th = np.array(theta, dtype=np.float64)
-    if th.ndim != 1 or th.size == 0:
-        raise InvalidInput("theta must be a non-empty 1-D vector")
-    if not eps > 0.0:
-        raise InvalidInput("eps must be positive")
-    g = np.empty_like(th)
-    for i in range(th.size):
-        orig = th[i]
-        th[i] = orig + eps
-        fp = float(f(th))
-        th[i] = orig - eps
-        fm = float(f(th))
-        th[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericalFailure(f"f is non-finite near component {i}")
-        g[i] = (fp - fm) / (2.0 * eps)
-    return g
+def _positions(ids, values) -> tuple[np.ndarray, np.ndarray]:
+    """Index of every value in the ascending integer sequence ``ids``, and a
+    mask of the values missing from it (their index means nothing)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    if not len(ids):
+        return np.zeros(values.shape, dtype=np.int64), np.ones(values.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(ids, values), len(ids) - 1)
+    return pos, ids[pos] != values
 
 
 def _nearest_rows(Q: np.ndarray, P: np.ndarray, skip: np.ndarray | None = None):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InsufficientData, InvalidInput
-from .numkit import _nearest_rows, as_matrix
+from .numkit import _nearest_rows, _positions, as_matrix
 from .seeding import substream
 
 
@@ -65,6 +65,15 @@ class PrimitiveBank:
             return self.class_ids.index(class_id)
         except ValueError:
             raise InvalidInput(f"class {class_id} is not registered") from None
+
+    def indices_of(self, class_ids) -> np.ndarray:
+        """index_of of many classes in one search; the first unregistered
+        one raises InvalidInput."""
+        ids = np.asarray(class_ids, dtype=np.int64)
+        pos, missing = _positions(self.class_ids, ids)
+        if missing.any():
+            raise InvalidInput(f"class {int(ids[missing][0])} is not registered")
+        return pos
 
     def block(self, class_id: int) -> np.ndarray:
         return self.Z[self.index_of(class_id)]
@@ -219,6 +228,15 @@ class ReplacedBank:
     attention: list[np.ndarray]  # per class (N, M_c)
     donor_rows: list[np.ndarray]  # per class (M_c,) int
 
+    def indices_of(self, class_ids) -> np.ndarray:
+        """index_of of many classes in one search; the first unregistered
+        one raises InvalidInput."""
+        ids = np.asarray(class_ids, dtype=np.int64)
+        pos, missing = _positions(self.class_ids, ids)
+        if missing.any():
+            raise InvalidInput(f"class {int(ids[missing][0])} is not registered")
+        return pos
+
     def block(self, class_id: int) -> np.ndarray:
         return self.Z_hat[self.class_ids.index(class_id)]
 
@@ -309,8 +327,8 @@ def hard_nearest_replace(
     n_swap = int(np.ceil(ratio * bank.n_primitives))
     if n_swap == 0 or not targets:
         return out
-    pool = np.concatenate([bank.Z[bank.index_of(c)] for c in donors], axis=0)
-    blocks = np.repeat([bank.index_of(c) for c in targets], n_swap)
+    pool = bank.Z[bank.indices_of(donors)].reshape(-1, bank.channels)
+    blocks = np.repeat(bank.indices_of(targets), n_swap)
     picks = np.concatenate([
         np.sort(substream(seed, "replace", c).choice(bank.n_primitives, size=n_swap, replace=False))
         for c in targets

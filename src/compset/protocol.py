@@ -5,6 +5,12 @@ per-session questions: restricting its registries to the classes of
 sessions <= k reproduces the exact state after session k.  evaluate_sessions
 therefore scores each test sample once against every class and slices the
 score matrix per session.
+
+Each analysis prepares its maps once (`cka.prepare_maps`) for every call
+that scores them.  The reuse analysis scores the unreplaced bank and every
+replaced one; where the kernel's product form would run, it does so from
+one table of row contributions (`cka.edited_scores`), since a replaced bank
+differs from the unreplaced one only in the rows hard replacement copied in.
 """
 
 from __future__ import annotations
@@ -14,11 +20,19 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cka import composition_scores_stack, cosine_scores_stack, patch_importance, power_transform_stack
+from .cka import (
+    PreparedMaps,
+    _gram_form,
+    composition_scores_stack,
+    cosine_scores_stack,
+    edited_scores,
+    patch_importance,
+    prepare_maps,
+)
 from .data import FeatureBatch, SynthDataset
 from .errors import DegenerateInput, InvalidInput
 from .losses import Hyperparams
-from .numkit import _nearest_rows
+from .numkit import _nearest_rows, _positions
 from .primitives import hard_nearest_replace
 from .seeding import seed_sequence
 from .training import ModelState, train_base, train_incremental
@@ -128,13 +142,18 @@ def score_matrix(state: ModelState, X3: np.ndarray, head: str = "composition") -
     Non-finite maps raise InvalidInput: one NaN would turn a whole score
     row into NaN, which argmax reads as a vote for the first class.  For
     the same reason a finite map that overflows the composition kernel
-    raises NumericalFailure.
+    raises NumericalFailure.  The composition head also takes
+    `PreparedMaps` of finite maps, prepared at the state's alpha.
     """
     if head not in HEADS:
         raise InvalidInput(f"head must be one of {HEADS}, got {head!r}")
-    X3 = np.asarray(X3, dtype=np.float64)
-    if not np.all(np.isfinite(X3)):
-        raise InvalidInput("maps contain non-finite values")
+    if isinstance(X3, PreparedMaps):
+        if head != "composition":
+            raise InvalidInput("prepared maps are scored by the composition head only")
+    else:
+        X3 = np.asarray(X3, dtype=np.float64)
+        if not np.all(np.isfinite(X3)):
+            raise InvalidInput("maps contain non-finite values")
     if head == "composition":
         return composition_scores_stack(X3, state.bank.Z, state.hp.alpha, on_degenerate="zero")
     if head == "baseline":  # one row a side: mean patch feature against weight row
@@ -142,14 +161,22 @@ def score_matrix(state: ModelState, X3: np.ndarray, head: str = "composition") -
     return cosine_scores_stack(X3, state.bank.Z, "mean" if head == "allmatch" else "max")
 
 
-def _label_columns(state: ModelState, labels, what: str) -> np.ndarray:
-    """The bank column of every label; an unregistered one raises InvalidInput."""
-    ids = np.asarray(state.bank.class_ids)
+def _label_columns(ids, labels, what: str) -> np.ndarray:
+    """The index of every label in the ascending class ids (a bank's, or a
+    subset's); one not among them raises InvalidInput."""
     labels = np.asarray(labels, dtype=np.int64)
-    bad = ~np.isin(labels, ids)
-    if bad.any():
-        raise InvalidInput(f"{what} not registered: {np.unique(labels[bad]).tolist()}")
-    return np.searchsorted(ids, labels)  # the bank is in ascending class-id order
+    cols, missing = _positions(ids, labels)
+    if missing.any():
+        raise InvalidInput(f"{what} not registered: {np.unique(labels[missing]).tolist()}")
+    return cols
+
+
+def _prepared(X3, alpha: float) -> PreparedMaps:
+    """Finite maps prepared once, for every scoring call of one analysis."""
+    X3 = np.asarray(X3, dtype=np.float64)
+    if not np.all(np.isfinite(X3)):
+        raise InvalidInput("maps contain non-finite values")
+    return prepare_maps(X3, alpha)
 
 
 def evaluate_sessions(
@@ -174,7 +201,7 @@ def evaluate_sessions(
     session_of = np.array([state.class_sessions[c] for c in state.bank.class_ids])
     batches = [test_sets[k] for k in range(nses)]
     true_cols = np.concatenate(
-        [_label_columns(state, b.labels, f"session {k} test labels") for k, b in enumerate(batches)]
+        [_label_columns(ids, b.labels, f"session {k} test labels") for k, b in enumerate(batches)]
     )
     X3 = np.concatenate([b.X for b in batches]) if len(batches) > 1 else batches[0].X
     scores = score_matrix(state, X3, head)
@@ -257,11 +284,11 @@ def importance_filter_eval(
     n = test_batch.X.shape[1]
     if not keep or keep[0] < 1 or keep[-1] > n:
         raise InvalidInput(f"keep counts must lie in [1, {n}]")
-    X3 = np.asarray(test_batch.X, dtype=np.float64)
-    truth = _label_columns(state, test_batch.labels, "labels")
-    full = score_matrix(state, X3, "composition") if keep[-1] == n or not rank_by_true_label else None
+    truth = _label_columns(state.bank.class_ids, test_batch.labels, "labels")
+    maps = _prepared(test_batch.X, state.hp.alpha)
+    full = score_matrix(state, maps, "composition") if keep[-1] == n or not rank_by_true_label else None
     rank_col = truth if rank_by_true_label else np.argmax(full, axis=1)
-    imp = patch_importance(power_transform_stack(X3, state.hp.alpha), state.bank.Z[rank_col])
+    imp = patch_importance(maps, state.bank.Z[rank_col])
     order = np.argsort(-imp, axis=1, kind="stable")
     out: dict[int, float] = {}
     for k in keep:
@@ -269,7 +296,7 @@ def importance_filter_eval(
             sk = full
         else:
             sel = np.sort(order[:, :k], axis=1)
-            sk = score_matrix(state, np.take_along_axis(X3, sel[:, :, None], axis=1), "composition")
+            sk = score_matrix(state, maps.keep_patches(sel), "composition")
         out[k] = 100.0 * float(np.mean(np.argmax(sk, axis=1) == truth))
     return out
 
@@ -285,10 +312,9 @@ def retrieval_export(state: ModelState, batch: FeatureBatch, top_k: int = 5) -> 
     """
     if top_k < 1:
         raise InvalidInput("top_k must be >= 1")
-    X3 = np.asarray(batch.X, dtype=np.float64)
     labels = np.asarray(batch.labels, dtype=np.int64)
-    cols = _label_columns(state, labels, "labels")
-    imp = patch_importance(power_transform_stack(X3, state.hp.alpha), state.bank.Z[cols])
+    cols = _label_columns(state.bank.class_ids, labels, "labels")
+    imp = patch_importance(_prepared(batch.X, state.hp.alpha), state.bank.Z[cols])
     n = imp.shape[1]
     # ties in importance go to the lowest sample id, then the lowest patch
     sid_rank = np.unique(np.asarray(batch.sample_ids, dtype=str), return_inverse=True)[1]
@@ -332,6 +358,14 @@ class ReusePoint:
     retention: float  # percent of the unreplaced novel accuracy
 
 
+def _replaced_rows(Z: np.ndarray, Zr: np.ndarray, cols: np.ndarray):
+    """The rows of the blocks Z[cols] whose bytes differ in Zr, as flat
+    indices into Z[cols].reshape(-1, d), and their rows in Zr."""
+    npr = Z.shape[1]
+    rows = np.flatnonzero((Zr.view(np.int64) != Z.view(np.int64)).any(axis=2)[cols])
+    return rows, Zr[cols[rows // npr], rows % npr]
+
+
 def reuse_retention_eval(
     state: ModelState, test_sets: dict[int, FeatureBatch], ratios, seed: int = 0
 ) -> list[ReusePoint]:
@@ -339,48 +373,71 @@ def reuse_retention_eval(
     their nearest frozen base primitives.
 
     retention = 100 * replaced / original novel accuracy; ratio 0.0 is
-    exactly 100.  Can exceed 100 when replacement helps.
+    exactly 100.  Can exceed 100 when replacement helps.  As in
+    evaluate_sessions, only the test sets of sessions 1 .. sessions_seen - 1
+    are read; a label among them that is not a novel class raises
+    InvalidInput.
+
+    Only the novel blocks compete, so only they are scored, against maps
+    prepared once.  Where the kernel takes the Gram form, every bank is one
+    kernel call.  Otherwise every bank is scored from one table of row
+    contributions (`edited_scores`): a replaced bank keeps every row that
+    hard replacement did not overwrite, so it needs only the rows it
+    changed, and no replaced bank is kept whole.
     """
-    novel_ids = [c for c, s in state.class_sessions.items() if s >= 1]
+    novel_ids = sorted(c for c, s in state.class_sessions.items() if s >= 1)
     if not novel_ids:
         raise InvalidInput("state has no novel classes to replace")
-    novel_batches = [test_sets[k] for k in sorted(test_sets) if k >= 1]
+    novel_batches = [test_sets[k] for k in range(1, state.sessions_seen) if k in test_sets]
     if not novel_batches:
         raise InvalidInput("no novel-session test data")
     full = FeatureBatch.concat(novel_batches) if len(novel_batches) > 1 else novel_batches[0]
     if len(full) == 0:
         raise InvalidInput("novel-session test sets are empty")
-    X3 = np.asarray(full.X, dtype=np.float64)
-    if not np.all(np.isfinite(X3)):
-        raise InvalidInput("maps contain non-finite values")
     ratios = [float(r) for r in ratios]
     if not all(0.0 <= r <= 1.0 for r in ratios):
         raise InvalidInput(f"ratios must lie in [0, 1], got {ratios}")
-    novel_cols = np.array([state.bank.class_ids.index(c) for c in sorted(novel_ids)])
-    col_of = {c: j for j, c in enumerate(sorted(novel_ids))}
-    truth = np.array([col_of[int(c)] for c in full.labels])
+    novel_cols = state.bank.indices_of(novel_ids)
+    truth = _label_columns(novel_ids, full.labels, "novel-session test labels")
+    maps = _prepared(full.X, state.hp.alpha)
+    Zn = state.bank.Z[novel_cols]
+    gram = _gram_form(maps.shape, Zn.shape)
 
-    def novel_acc(Z: np.ndarray) -> float:
-        # only the novel blocks compete, so only they are scored
-        sc = composition_scores_stack(X3, Z[novel_cols], state.hp.alpha, on_degenerate="zero")
-        return 100.0 * float(np.mean(np.argmax(sc, axis=1) == truth))
+    def accuracy(scores: np.ndarray) -> float:
+        return 100.0 * float(np.mean(np.argmax(scores, axis=1) == truth))
 
-    original = novel_acc(state.bank.Z)
-    if original <= 0.0:
-        raise DegenerateInput("original novel accuracy is zero; retention undefined")
-    out = []
+    def kernel_accuracy(Z: np.ndarray) -> float:
+        return accuracy(composition_scores_stack(maps, Z, state.hp.alpha, on_degenerate="zero"))
+
+    original = kernel_accuracy(Zn) if gram else None
+    replaced = {}  # ratio index -> accuracy (Gram form) or replaced rows
     for j, r in enumerate(ratios):
         if r == 0.0:  # nothing is replaced
-            out.append(ReusePoint(ratio=r, novel_accuracy=original, retention=100.0))
             continue
         # the sub-seed follows the ratio's index, so skipping ratio 0 moves no other point
         sub_seed = int(seed_sequence(seed, "reuse-ratio", j).generate_state(1)[0])
-        bank_r = hard_nearest_replace(
-            state.bank, sorted(novel_ids), state.base_class_ids, r, seed=sub_seed
-        )
-        acc = novel_acc(bank_r.Z)
-        out.append(ReusePoint(ratio=r, novel_accuracy=acc, retention=100.0 * acc / original))
-    return out
+        Zr = hard_nearest_replace(state.bank, novel_ids, state.base_class_ids, r, seed=sub_seed).Z
+        if gram:
+            replaced[j] = kernel_accuracy(Zr[novel_cols])
+        else:
+            replaced[j] = _replaced_rows(state.bank.Z, Zr, novel_cols)
+        del Zr  # one replaced bank at a time
+    if not gram:
+        # every distinct replacement row (by its bytes) enters the table once
+        rows = [r for r, _ in replaced.values()]
+        vals = np.concatenate([v for _, v in replaced.values()] or [Zn[:0, 0]])
+        keys = vals.view(np.dtype((np.void, vals.itemsize * vals.shape[1]))).reshape(-1)
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        edits = list(zip(rows, np.split(which.reshape(-1), np.cumsum([len(r) for r in rows])[:-1])))
+        original, *accs = (accuracy(s) for s in edited_scores(maps, Zn, vals[first], edits))
+        replaced = dict(zip(replaced, accs))
+    if original <= 0.0:
+        raise DegenerateInput("original novel accuracy is zero; retention undefined")
+    return [
+        ReusePoint(ratio=r, novel_accuracy=original, retention=100.0) if r == 0.0
+        else ReusePoint(ratio=r, novel_accuracy=replaced[j], retention=100.0 * replaced[j] / original)
+        for j, r in enumerate(ratios)
+    ]
 
 
 def primitive_count_sweep(ds: SynthDataset, n_values, hp: Hyperparams) -> dict[int, EvalReport]:

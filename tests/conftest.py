@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from compset import FeatureBatch, Hyperparams, SynthConfig, patch_importance, synth_generate
+from compset import FeatureBatch, Hyperparams, SynthConfig, cka, patch_importance, synth_generate
 from compset.cka import power_transform_stack
 from compset.protocol import reuse_retention_eval, run_sessions, score_matrix
 from util import auc_score
@@ -76,3 +76,18 @@ def auc_by_seed(default_runs):
         seed: mean_importance_auc(run["state"], run["ds"])
         for seed, run in default_runs.items()
     }
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """The shape of every stack power-transformed while the test runs:
+    one per preparation of maps for scoring."""
+    shapes = []
+    inner = cka.power_transform_stack
+
+    def counted(X3, alpha):
+        shapes.append(np.shape(X3))
+        return inner(X3, alpha)
+
+    monkeypatch.setattr(cka, "power_transform_stack", counted)
+    return shapes

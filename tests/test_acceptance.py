@@ -26,8 +26,6 @@ from compset import (
     UnknownDtype,
     allmatch_similarity,
     build_replaced,
-    center_rows,
-    central_diff_grad,
     evaluate_sessions,
     importance_filter_eval,
     linear_cka,
@@ -44,7 +42,7 @@ from compset import (
     write_tensor,
 )
 from compset.cli import main
-from util import pack_params, random_pair, unpack_params
+from util import center_rows, central_diff_grad, pack_params, random_pair, unpack_params
 
 PAIR_SEED = 20260819
 N_PAIRS = 1000

@@ -9,8 +9,6 @@ from compset import (
     InvalidInput,
     NumericalFailure,
     allmatch_similarity,
-    center_rows,
-    central_diff_grad,
     cka_rc,
     composition_scores_stack,
     linear_cka,
@@ -23,10 +21,14 @@ from compset.cka import (
     _gram_numerators,
     center_stack,
     cosine_scores_stack,
+    edited_scores,
     power_transform_stack,
+    prepare_maps,
 )
 from compset.numkit import _BLOCK_BYTES
 from util import (
+    center_rows,
+    central_diff_grad,
     center_oracle,
     cka_oracle,
     cka_rc_oracle,
@@ -693,3 +695,161 @@ class TestCosineScores:
     def test_bad_mode(self):
         with pytest.raises(InvalidInput):
             cosine_scores_stack(np.ones((1, 1, 2)), np.ones((1, 1, 2)), "sum")
+
+
+class TestPreparedMaps:
+    """A stack prepared once scores as the raw stack does, bit for bit."""
+
+    @pytest.mark.parametrize("maps, bank", [((40, 16, 32), (20, 16, 32)), ((9, 64, 512), (30, 16, 512))])
+    def test_scores_equal_the_raw_stack(self, maps, bank):
+        rng = np.random.default_rng(60)
+        x3 = rng.standard_normal(maps)
+        zs = rng.standard_normal(bank)
+        prep = prepare_maps(x3, 0.8)
+        assert prep.shape == maps and len(prep) == maps[0]
+        want = composition_scores_stack(x3, zs, 0.8)
+        assert composition_scores_stack(prep, zs, 0.8).tobytes() == want.tobytes()
+        got, _ = composition_scores_stack(prep, zs, 0.8, _with_vjp=True)
+        assert got.tobytes() == composition_scores_stack(x3, zs, 0.8, _with_vjp=True)[0].tobytes()
+
+    def test_kept_patches_equal_preparing_them(self):
+        rng = np.random.default_rng(61)
+        x3 = rng.standard_normal((30, 16, 32))
+        prep = prepare_maps(x3, 0.8)
+        sel = np.sort(np.argsort(rng.standard_normal((30, 16)), axis=1)[:, :5], axis=1)
+        got = prep.keep_patches(sel)
+        want = prepare_maps(np.take_along_axis(x3, sel[:, :, None], axis=1), 0.8)
+        assert got.Xc.tobytes() == want.Xc.tobytes() and got.a.tobytes() == want.a.tobytes()
+
+    def test_importances_equal_the_transformed_stack(self):
+        rng = np.random.default_rng(62)
+        x3 = rng.standard_normal((6, 7, 9))
+        zs = rng.standard_normal((6, 4, 9))
+        want = patch_importance(power_transform_stack(x3, 0.5), zs)
+        assert patch_importance(prepare_maps(x3, 0.5), zs).tobytes() == want.tobytes()
+
+    def test_alpha_must_match(self):
+        prep = prepare_maps(np.ones((2, 3, 4)) + np.arange(4), 0.8)
+        with pytest.raises(InvalidInput, match="alpha"):
+            composition_scores_stack(prep, np.ones((1, 2, 4)) + np.arange(4), 1.0)
+
+    def test_bad_stacks_rejected(self):
+        with pytest.raises(InvalidInput):
+            prepare_maps(np.ones((3, 4)))
+        with pytest.raises(DegenerateInput):
+            prepare_maps(np.ones((2, 3, 1)))
+        with pytest.raises(InvalidInput, match="alpha"):
+            prepare_maps(np.ones((2, 3, 4)), 0.0)
+
+    def test_overflow_raises_when_scored(self):
+        rng = np.random.default_rng(63)
+        x3 = rng.standard_normal((3, 4, 5))
+        x3[1, 2, 3] = 1e200
+        prep = prepare_maps(x3)
+        with pytest.raises(NumericalFailure):
+            composition_scores_stack(prep, rng.standard_normal((2, 3, 5)))
+        with pytest.raises(NumericalFailure):
+            patch_importance(prep, rng.standard_normal((3, 3, 5)))
+
+
+def edited_copies(zs, new_rows, edits):
+    """Every edited copy of zs, written out whole."""
+    out = [zs]
+    for rows, which in edits:
+        z = zs.copy()
+        z.reshape(-1, zs.shape[2])[rows] = new_rows[which]
+        out.append(z)
+    return out
+
+
+def random_edits(rng, zs, counts, n_new):
+    """Edits that each write ``counts[e]`` distinct rows of zs with rows of
+    one shared set of ``n_new`` replacement rows, as hard replacement
+    copies donor rows (so a replacement row can serve many rows)."""
+    flat = len(zs) * zs.shape[1]
+    return [(rng.choice(flat, size=k, replace=False), rng.integers(n_new, size=k)) for k in counts]
+
+
+class TestEditedScores:
+    """Scores of a bank and its row-edited copies from one table of row
+    contributions, where the kernel would take the product form."""
+
+    def test_agrees_with_the_kernel_per_copy(self):
+        rng = np.random.default_rng(64)
+        x3 = np.abs(rng.standard_normal((70, 4, 64)))
+        zs = rng.standard_normal((50, 2, 64))
+        assert not _gram_form(x3.shape, zs.shape)
+        new_rows = rng.standard_normal((12, 64))
+        edits = random_edits(rng, zs, [5, 30, 100], len(new_rows))
+        got = edited_scores(prepare_maps(x3, 0.8), zs, new_rows, edits)
+        assert got.shape == (4, 70, 50)
+        for g, z in zip(got, edited_copies(zs, new_rows, edits)):
+            want = composition_scores_stack(x3, z, 0.8)
+            np.testing.assert_allclose(g, want, rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(np.argmax(g, axis=1), np.argmax(want, axis=1))
+
+    def test_table_spans_blocks_of_maps_and_rows(self):
+        # 60 maps of 64 patches: 22 maps a block; 1200 + 40 table rows of
+        # 512 channels: a few GEMMs of rows per block
+        rng = np.random.default_rng(65)
+        x3 = rng.standard_normal((60, 64, 512))
+        zs = rng.standard_normal((75, 16, 512))
+        new_rows = rng.standard_normal((40, 512))
+        edits = random_edits(rng, zs, [75, 600], len(new_rows))
+        got = edited_scores(prepare_maps(x3), zs, new_rows, edits)
+        for g, z in zip(got, edited_copies(zs, new_rows, edits)):
+            np.testing.assert_allclose(g, composition_scores_stack(x3, z), rtol=1e-13, atol=0.0)
+
+    def test_no_edits_and_empty_batch(self):
+        rng = np.random.default_rng(66)
+        x3 = rng.standard_normal((5, 4, 64))
+        zs = rng.standard_normal((3, 2, 64))
+        got = edited_scores(prepare_maps(x3), zs, np.empty((0, 64)), [])
+        np.testing.assert_allclose(got[0], composition_scores_stack(x3, zs), rtol=1e-13, atol=0.0)
+        edits = [(np.array([1]), np.array([0]))]
+        assert edited_scores(prepare_maps(x3[:0]), zs, zs[0, :1], edits).shape == (2, 0, 3)
+
+    def test_degenerate_copy_block_or_map(self):
+        rng = np.random.default_rng(67)
+        x3 = rng.standard_normal((8, 4, 64))
+        zs = rng.standard_normal((6, 2, 64))
+        x3[2] = 1.5  # map 2 centres to zero
+        const = np.full((1, 64), -2.0)
+        edits = [(np.array([6, 7]), np.array([0, 0]))]  # block 3 of the copy centres to zero
+        got = edited_scores(prepare_maps(x3), zs, const, edits)
+        np.testing.assert_array_equal(got[:, 2], 0.0)
+        np.testing.assert_array_equal(got[1][:, 3], 0.0)
+        assert (np.delete(got[0], 2, axis=0) > 0.0).all()
+        assert (np.delete(np.delete(got[1], 2, axis=0), 3, axis=1) > 0.0).all()
+
+    def test_overflow_raises(self):
+        rng = np.random.default_rng(68)
+        x3 = rng.standard_normal((4, 4, 64))
+        zs = rng.standard_normal((3, 2, 64))
+        edits = [(np.array([0]), np.array([0]))]
+        x3[1, 2, 3] = 1e200
+        with pytest.raises(NumericalFailure):
+            edited_scores(prepare_maps(x3), zs, zs[2, :1], edits)
+        with pytest.raises(NumericalFailure):
+            edited_scores(prepare_maps(x3[2:]), zs, 1e200 * zs[2, :1], edits)
+
+    def test_memory_stays_flat_as_the_batch_grows(self):
+        # beyond the prepared maps the peak holds one GEMM buffer, one block
+        # of the table and one copy's gathered rows
+        rng = np.random.default_rng(69)
+        zs = rng.standard_normal((300, 16, 512))
+        new_rows = rng.standard_normal((200, 512))
+        edits = random_edits(rng, zs, [300, 2400], len(new_rows))
+
+        def peak(bsz):
+            prep = prepare_maps(rng.standard_normal((bsz, 64, 512)))
+            tracemalloc.start()
+            try:
+                edited_scores(prep, zs, new_rows, edits)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(30), peak(120)
+        assert large < 1.25 * small
+        assert large < 2 * _BLOCK_BYTES

@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line front end (in-process)."""
 
+import dataclasses
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from compset import load_checkpoint, load_dataset, read_tensor, write_tensor
+from compset import load_checkpoint, load_dataset, read_tensor, save_dataset, write_tensor
 from compset.cli import main
 from compset.protocol import evaluate_sessions
 
@@ -529,6 +530,26 @@ class TestReuseEval:
         rc = main(["reuse-eval", "--ckpt", str(work["ck0"]), "--data", str(work["data"]),
                    "--ratios", "0.5"])
         assert rc == 2
+
+    def test_test_sets_past_the_checkpoint_are_not_read(self, work, capsys):
+        # ck1 has seen sessions 0-1 of a three-session dataset: its session-2
+        # test labels once raised a bare KeyError and printed a traceback
+        rc = main(["reuse-eval", "--ckpt", str(work["ck1"]), "--data", str(work["data"]),
+                   "--ratios", "0,0.5"])
+        assert rc == 0
+        assert "retention 100.00" in capsys.readouterr().out
+
+    def test_novel_label_not_registered_is_data_error(self, work, tmp_path, capsys):
+        ds = load_dataset(work["data"])
+        labels = np.array(ds.test[1].labels)
+        labels[0] = ds.test[0].labels[0]  # a base class in a novel session's test set
+        ds.test[1] = dataclasses.replace(ds.test[1], labels=labels)
+        save_dataset(ds, tmp_path / "data")
+        rc = main(["reuse-eval", "--ckpt", str(work["ck2"]), "--data", str(tmp_path / "data"),
+                   "--ratios", "0,0.5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "not registered" in err and "Traceback" not in err
 
 
 class TestCompareReps:

@@ -15,7 +15,6 @@ from compset import (
     InvalidInput,
     PrimitiveBank,
     build_replaced,
-    central_diff_grad,
     fixed_columns,
     total_loss_and_grad,
     train_base,
@@ -23,6 +22,7 @@ from compset import (
 from compset.losses import _replacement_backward
 from compset.seeding import seed_sequence
 from util import (
+    central_diff_grad,
     cka_oracle,
     cosine_oracle,
     pack_params,

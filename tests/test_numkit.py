@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from compset import InvalidInput, central_diff_grad
+from compset import InvalidInput
 from compset.cka import gram_frobenius_stack
 from compset.numkit import as_matrix, logsumexp_rows, softmax_rows
-from util import softmax_oracle
+from util import central_diff_grad, softmax_oracle
 
 
 def softmax(logits, temperature=1.0):

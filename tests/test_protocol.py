@@ -1,7 +1,7 @@
 """Tests for session evaluation, ablation tooling, and the benchmark."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from compset import (
     train_incremental,
 )
 from compset import protocol
+from compset.cka import _gram_form
 from compset.losses import ClassifierWeights
 from compset.primitives import PrimitiveBank
 from compset.protocol import (
@@ -40,7 +41,7 @@ from compset.protocol import (
 )
 from compset.seeding import seed_sequence
 from compset.training import ModelState
-from util import evaluate_sessions_per_sample
+from util import evaluate_sessions_per_sample, reuse_retention_per_pass
 
 CFG = SynthConfig(
     pool_size=20,
@@ -772,6 +773,83 @@ class TestReuseRetention:
         )
         with pytest.raises(DegenerateInput, match="retention"):
             reuse_retention_eval(st, {1: swapped}, [0.5])
+
+    def test_gram_form_equals_the_per_pass_oracle(self, default_runs):
+        # the default task's novel maps and blocks take the kernel's Gram
+        # form: every bank is one kernel call on the maps prepared once
+        ratios = [0.0, 0.25, 0.5, 1.0]
+        for seed, run in default_runs.items():
+            st, tests = run["state"], run["ds"].test
+            nov = [c for c, s in st.class_sessions.items() if s >= 1]
+            maps = np.concatenate([tests[k].X for k in range(1, st.sessions_seen)])
+            assert _gram_form(maps.shape, (len(nov),) + st.bank.Z.shape[1:])
+            got = reuse_retention_eval(st, tests, ratios, seed=seed)
+            assert [astuple(p) for p in got] == reuse_retention_per_pass(st, tests, ratios, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_table_agrees_with_the_per_pass_oracle(self, state, ds, seed):
+        ratios = [0.0, 1.0 / 6.0, 0.5, 0.5, 1.0]
+        maps = np.concatenate([ds.test[k].X for k in (1, 2)])
+        assert not _gram_form(maps.shape, (4,) + state.bank.Z.shape[1:])
+        got = reuse_retention_eval(state, ds.test, ratios, seed=seed)
+        assert [astuple(p) for p in got] == reuse_retention_per_pass(state, ds.test, ratios, seed=seed)
+
+    def test_test_sets_past_the_checkpoint_are_not_read(self, state, ds):
+        # a state trained through session 1 against a dataset of sessions
+        # 0-2 once raised a bare KeyError for a session-2 label
+        early = _restricted(state, 2)
+        assert reuse_retention_eval(early, ds.test, [0.0, 0.5], seed=1) == reuse_retention_eval(
+            early, {0: ds.test[0], 1: ds.test[1]}, [0.0, 0.5], seed=1
+        )
+
+    def test_label_not_a_novel_class_rejected(self, state, ds):
+        batch = ds.test[1]
+        labels = np.array(batch.labels)
+        labels[0] = 99
+        labels[1] = state.base_class_ids[0]
+        with pytest.raises(InvalidInput, match=r"not registered: \[0, 99\]"):
+            reuse_retention_eval(state, {1: replace(batch, labels=labels)}, [0.5])
+
+    def test_overflowing_finite_map_raises(self, state, ds):
+        with pytest.raises(NumericalFailure):
+            reuse_retention_eval(state, {1: overflowing(ds.test[1])}, [0.0, 0.5])
+
+
+def _restricted(st: ModelState, sessions: int) -> ModelState:
+    """A frozen state cut back to the classes of its first ``sessions``
+    sessions: by bitwise freezing, the state that existed then."""
+    ids = [c for c in st.bank.class_ids if st.class_sessions[c] < sessions]
+    cols = st.bank.indices_of(ids)
+    return ModelState(
+        bank=PrimitiveBank(ids, st.bank.Z[cols], st.bank.frozen[cols]),
+        weights=ClassifierWeights(ids, st.weights.W[cols], st.weights.frozen[cols]),
+        hp=st.hp,
+        sessions_seen=sessions,
+        class_sessions={c: st.class_sessions[c] for c in ids},
+        loss_history={k: v for k, v in st.loss_history.items() if k < sessions},
+    )
+
+
+class TestOnePreparationPerAnalysis:
+    """Each analysis power-transforms and centres its maps once."""
+
+    @pytest.mark.parametrize("by_true_label", [False, True])
+    def test_importance_filter(self, state, ds, transforms, by_true_label):
+        batch = FeatureBatch.concat([ds.test[k] for k in range(3)])
+        n = batch.X.shape[1]
+        importance_filter_eval(state, batch, [2, 4, n], rank_by_true_label=by_true_label)
+        assert transforms == [batch.X.shape]
+
+    def test_retrieval_export(self, state, ds, transforms):
+        retrieval_export(state, ds.test[1])
+        assert transforms == [ds.test[1].X.shape]
+
+    @pytest.mark.parametrize("gram", [False, True])
+    def test_reuse(self, state, ds, default_runs, transforms, gram):
+        st, tests = (default_runs[0]["state"], default_runs[0]["ds"].test) if gram else (state, ds.test)
+        reuse_retention_eval(st, tests, [0.0, 0.5, 1.0])
+        novel = sum(len(tests[k]) for k in range(1, st.sessions_seen))
+        assert transforms == [(novel,) + tests[1].X.shape[1:]]
 
 
 class TestPrimitiveCountSweep:

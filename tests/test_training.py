@@ -512,3 +512,19 @@ class TestCheckpoint:
         spath.write_text(json.dumps(doc))
         with pytest.raises(InvalidInput, match=key):
             load_checkpoint(tmp_path)
+
+
+class TestOnePreparationPerStep:
+    """A base step prepares its minibatch once for both composition heads;
+    an incremental session prepares its shots once for every epoch."""
+
+    def test_base_steps(self, ds, transforms):
+        hp = replace(TRAIN_HP, base_epochs=3)
+        n = len(ds.train[0])
+        train_base(ds.train[0], hp)
+        sizes = [min(hp.batch_size, n - lo) for lo in range(0, n, hp.batch_size)]
+        assert [s[0] for s in transforms] == sizes * hp.base_epochs
+
+    def test_incremental_session(self, base_state, ds, transforms):
+        train_incremental(base_state, ds.train[1])
+        assert transforms == [ds.train[1].X.shape]

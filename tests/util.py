@@ -9,30 +9,36 @@ The two nearest-row references are k-means and hard replacement as
 brute-force searches: the full (P, k, d) broadcast and a loop over picks.
 The attention and evaluation references keep the arithmetic the package
 had before subnormal weights were flushed and before the confusion counts
-came from one bincount.
+came from one bincount.  `center_rows` and `central_diff_grad` were public
+package functions with no caller outside the tests; the reuse reference
+scores every bank in its own kernel pass, as the package did before its
+table of row contributions.
 """
 
 import numpy as np
 
 from compset import (
     ClassifierWeights,
+    DegenerateInput,
     InsufficientData,
     InvalidInput,
     FeatureBatch,
+    NumericalFailure,
     Grads,
     PrimitiveBank,
     build_replaced,
     composition_scores_stack,
     donor_map_for,
     extend_bank,
+    hard_nearest_replace,
     sgd_step,
     total_loss_and_grad,
 )
-from compset.cka import center_stack, gram_frobenius_stack, power_transform_stack
+from compset.cka import _set_matrix, center_stack, gram_frobenius_stack, power_transform_stack
 from compset.losses import _ce_rows, _cls_core, _replacement_backward
 from compset.numkit import softmax_rows
 from compset.protocol import EvalReport, SessionEval, performance_drop, score_matrix
-from compset.seeding import substream
+from compset.seeding import seed_sequence, substream
 from compset.training import _mean_feature_rows
 
 
@@ -42,6 +48,41 @@ def center_oracle(m: np.ndarray) -> np.ndarray:
     d = m.shape[1]
     j = np.eye(d) - np.ones((d, d)) / d
     return m @ j
+
+
+def center_rows(X) -> np.ndarray:
+    """Subtract each row's mean across channels: one matrix through the
+    package's stack centring.
+
+    Equivalent to right-multiplying by the projector J = I - (1/d) 11^T;
+    applying it twice is a no-op.
+    """
+    return center_stack(_set_matrix(X, "X")[None])[0]
+
+
+def central_diff_grad(f, theta, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a flat vector.
+
+    g_i = (f(theta + eps e_i) - f(theta - eps e_i)) / (2 eps).  The
+    independent oracle for every analytic gradient in the package.
+    """
+    th = np.array(theta, dtype=np.float64)
+    if th.ndim != 1 or th.size == 0:
+        raise InvalidInput("theta must be a non-empty 1-D vector")
+    if not eps > 0.0:
+        raise InvalidInput("eps must be positive")
+    g = np.empty_like(th)
+    for i in range(th.size):
+        orig = th[i]
+        th[i] = orig + eps
+        fp = float(f(th))
+        th[i] = orig - eps
+        fm = float(f(th))
+        th[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericalFailure(f"f is non-finite near component {i}")
+        g[i] = (fp - fm) / (2.0 * eps)
+    return g
 
 
 def cka_oracle(x: np.ndarray, z: np.ndarray) -> float:
@@ -370,3 +411,36 @@ def evaluate_sessions_per_sample(state, test_sets, head: str = "composition") ->
         head=head, seed=state.hp.seed, sessions=out,
         performance_drop=performance_drop([s.overall for s in out]),
     )
+
+
+def reuse_retention_per_pass(state, test_sets, ratios, seed: int = 0):
+    """reuse_retention_eval as one kernel pass per bank: the unreplaced
+    novel blocks, then each nonzero ratio's hard-replaced ones, every pass
+    transforming and centring the maps afresh.  Returns the ReusePoint
+    fields as (ratio, novel accuracy, retention) tuples."""
+    novel_ids = sorted(c for c, s in state.class_sessions.items() if s >= 1)
+    batches = [test_sets[k] for k in range(1, state.sessions_seen) if k in test_sets]
+    full = FeatureBatch.concat(batches) if len(batches) > 1 else batches[0]
+    X3 = np.asarray(full.X, dtype=np.float64)
+    novel_cols = np.array([state.bank.class_ids.index(c) for c in novel_ids])
+    col_of = {c: j for j, c in enumerate(novel_ids)}
+    truth = np.array([col_of[int(c)] for c in full.labels])
+
+    def novel_acc(Z):
+        sc = composition_scores_stack(X3, Z[novel_cols], state.hp.alpha, on_degenerate="zero")
+        return 100.0 * float(np.mean(np.argmax(sc, axis=1) == truth))
+
+    original = novel_acc(state.bank.Z)
+    if original <= 0.0:
+        raise DegenerateInput("original novel accuracy is zero; retention undefined")
+    out = []
+    for j, r in enumerate(float(r) for r in ratios):
+        if r == 0.0:
+            out.append((r, original, 100.0))
+            continue
+        sub_seed = int(seed_sequence(seed, "reuse-ratio", j).generate_state(1)[0])
+        acc = novel_acc(
+            hard_nearest_replace(state.bank, novel_ids, state.base_class_ids, r, seed=sub_seed).Z
+        )
+        out.append((r, acc, 100.0 * acc / original))
+    return out
