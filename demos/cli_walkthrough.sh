@@ -66,7 +66,4 @@ write_tensor("b.ckat", a + 0.1 * rng.standard_normal((8, 16)))
 EOF
 compset compare-reps a.ckat b.ckat
 
-echo; echo "== bench: scoring throughput on a synthetic bank =="
-compset bench --classes 20 --n-primitives 8 --channels 64 --patches 16 --maps 50 --reps 3
-
 echo; echo "all artifacts under $work"

@@ -13,7 +13,6 @@ from compset import (
     cka_rc,
     composition_scores_stack,
     linear_cka,
-    match_weights,
     patch_importance,
     power_transform,
 )
@@ -36,11 +35,9 @@ print("-- the same number from the batch direction --")
 print(f"cka_rc(x.T, z.T) = {cka_rc(x.T, z.T):.6f}  (equals linear_cka(x, z))")
 
 print()
-print("-- decomposition: who contributed what --")
-weights = match_weights(x, z)
+print("-- decomposition: which patches contributed what --")
 importance = patch_importance(x, z)
-print(f"match weights shape {weights.shape}, importance shape {importance.shape}")
-print(f"importances: {np.round(importance, 4)}")
+print(f"importances of the {importance.shape[0]} patches: {np.round(importance, 4)}")
 print(f"sum of importances = {importance.sum():.6f}  (the score again)")
 
 print()

@@ -13,7 +13,6 @@ from .cka import (
     cka_rc,
     composition_scores_stack,
     linear_cka,
-    match_weights,
     patch_importance,
     power_transform,
 )
@@ -58,7 +57,6 @@ from .primitives import (
     kmeans_centers,
 )
 from .protocol import (
-    BenchResult,
     EvalReport,
     ReusePoint,
     SessionSchedule,
@@ -71,11 +69,9 @@ from .protocol import (
     run_sessions,
     schedule_of,
     score_matrix,
-    throughput_bench,
 )
 from .training import (
     ModelState,
-    OptimizerState,
     donor_map_for,
     donor_map_of,
     load_checkpoint,

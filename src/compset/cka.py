@@ -42,10 +42,9 @@ its rows and a sum over them.  The sum runs in another order than the
 product form's, so its scores differ from the kernel's in the last bits.
 
 `cosine_scores_stack` computes the plain mean/max cosine comparators for
-the evaluation heads and `allmatch_similarity`.  The match weights and
-patch importances, which apportion a pair's score exactly, share one
-centring helper; importances take a whole stack of (map, block) pairs in
-one call.
+the evaluation heads and `allmatch_similarity`.  `patch_importance`
+apportions a pair's score exactly across its patches, for a whole stack
+of (map, block) pairs in one call.
 """
 
 from __future__ import annotations
@@ -74,23 +73,6 @@ def _pair(X, Z) -> tuple[Matrix, Matrix]:
     return Xm, Zm
 
 
-def _centered_products(maps: "PreparedMaps", Z3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Xc_b Zc_b^T (B, n, N) and a_b * b_b (B,) of each (map, block) pair
-    of prepared maps and a finite stack of blocks with equal B and d.  A
-    set that centers to zero raises DegenerateSet naming its index.  As in
-    composition_scores_stack, a non-finite a * b (finite inputs whose Gram
-    overflows) raises NumericalFailure."""
-    a = maps.a
-    with np.errstate(over="ignore", invalid="ignore"):
-        Zc = center_stack(Z3)
-        b = gram_frobenius_stack(Zc)
-        if np.any(a == 0.0):
-            raise DegenerateSet(f"map {int(np.argmax(a == 0.0))} centers to zero; similarity undefined")
-        if np.any(b == 0.0):
-            raise DegenerateSet(f"block {int(np.argmax(b == 0.0))} centers to zero; similarity undefined")
-        return maps.Xc @ Zc.transpose(0, 2, 1), _finite(a * b)
-
-
 def _finite(v: np.ndarray) -> np.ndarray:
     if not np.isfinite(v).all():
         raise NumericalFailure("set similarity overflows: a map or block is too large to score")
@@ -116,18 +98,6 @@ def power_transform(X, alpha: float) -> Matrix:
     return power_transform_stack(as_matrix(X, "X")[None], alpha)[0]
 
 
-def match_weights(X, Z) -> np.ndarray:
-    """Per-(patch, primitive) weights W[i, k] = (Xc_i . Zc_k) / (a * b).
-
-    With a = ||Xc Xc^T||_F and b = ||Zc Zc^T||_F, the identity
-    sum_ik W[i, k] * (Xc_i . Zc_k) == linear_cka(X, Z) holds, so the
-    weights exactly apportion the score across pairs.
-    """
-    Xm, Zm = _pair(X, Z)
-    prod, ab = _centered_products(prepare_maps(Xm[None]), Zm[None])
-    return _finite(prod / ab[:, None, None])[0]
-
-
 def patch_importance(X, Z) -> np.ndarray:
     """Per-patch share I[i] = sum_k (Xc_i . Zc_k)^2 / (a * b).
 
@@ -135,7 +105,10 @@ def patch_importance(X, Z) -> np.ndarray:
     patch-filtering analysis.  One pair X (n, d), Z (N, d) gives (n,); a
     stack of maps X (B, n, d) against one block per map Z (B, N, d) gives
     (B, n) in one call.  X may be `PreparedMaps`, whose power transform and
-    centring are then not redone.
+    centring are then not redone.  A set that centers to zero raises
+    DegenerateSet naming its index; as in composition_scores_stack, a
+    non-finite a * b or share (finite inputs whose Gram overflows) raises
+    NumericalFailure.
     """
     if np.ndim(X) == 2 and np.ndim(Z) == 2:
         Xm, Zm = _pair(X, Z)
@@ -149,7 +122,17 @@ def patch_importance(X, Z) -> np.ndarray:
         raise InvalidInput("channel mismatch between maps and primitive blocks")
     if (raw and not np.isfinite(X3).all()) or not np.isfinite(Z3).all():
         raise InvalidInput("maps or blocks contain non-finite entries")
-    prod, ab = _centered_products(prepare_maps(X3) if raw else X3, Z3)
+    maps = prepare_maps(X3) if raw else X3
+    a = maps.a
+    with np.errstate(over="ignore", invalid="ignore"):
+        Zc = center_stack(Z3)
+        b = gram_frobenius_stack(Zc)
+        if np.any(a == 0.0):
+            raise DegenerateSet(f"map {int(np.argmax(a == 0.0))} centers to zero; similarity undefined")
+        if np.any(b == 0.0):
+            raise DegenerateSet(f"block {int(np.argmax(b == 0.0))} centers to zero; similarity undefined")
+        prod = maps.Xc @ Zc.transpose(0, 2, 1)
+        ab = _finite(a * b)
     return _finite((prod * prod).sum(axis=2) / ab[:, None])
 
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: gen, train-base, train-inc, eval, sweep, importance,
-reuse-eval, compare-reps, bench.  Exit codes: 0 success, 1 usage error,
+reuse-eval, compare-reps.  Exit codes: 0 success, 1 usage error,
 2 data or validation error.  Every run emits a JSON provenance record
 (config, seed, versions) into --out, or to stderr when a command has no
 output directory; the timestamp inside it is the only non-reproducible
@@ -37,8 +37,7 @@ from .data import (
     write_atomic,
 )
 from .errors import CompsetError, InvalidInput
-from .losses import ClassifierWeights, Hyperparams
-from .primitives import init_primitive_bank
+from .losses import Hyperparams
 from .protocol import (
     HEADS,
     evaluate_sessions,
@@ -47,7 +46,6 @@ from .protocol import (
     retrieval_export,
     reuse_retention_eval,
     sweep_table,
-    throughput_bench,
 )
 from .training import ModelState, load_checkpoint, save_checkpoint, train_base, train_incremental
 
@@ -297,40 +295,6 @@ def cmd_compare_reps(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.ckpt is not None:
-        state = load_checkpoint(args.ckpt)
-    else:
-        hp = Hyperparams(n_primitives=args.n_primitives)
-        ids = list(range(args.classes))
-        bank = init_primitive_bank(
-            ids, args.n_primitives, args.channels, scheme="gaussian", seed=args.seed or 0, sigma=1.0
-        )
-        bank.frozen[:] = True
-        rng = np.random.default_rng(args.seed or 0)
-        weights = ClassifierWeights(ids, rng.standard_normal((len(ids), args.channels)), np.ones(len(ids), dtype=bool))
-        state = ModelState(
-            bank=bank,
-            weights=weights,
-            hp=hp,
-            sessions_seen=1,
-            class_sessions={c: 0 for c in ids},
-            loss_history={},
-        )
-    rng = np.random.default_rng(args.seed or 0)
-    maps = rng.standard_normal((args.maps, args.patches, state.bank.channels))
-    result = throughput_bench(state, maps, reps=args.reps)
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        _write_json(out / "bench.json", dataclasses.asdict(result))
-    _provenance("bench", args, state.hp, None, out)
-    print(
-        f"{result.n_maps} maps x {result.n_classes} classes: median "
-        f"{result.median_seconds:.4f} s over {len(result.reps)} reps"
-    )
-    return 0
-
-
 def _add_common(p: argparse.ArgumentParser, config: bool = True):
     p.add_argument("--seed", type=int, default=None, help="root seed (hyperparams and data)")
     if config:
@@ -426,18 +390,6 @@ def build_parser() -> _Parser:
     p.add_argument("rep_b")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare_reps)
-
-    p = sub.add_parser("bench", help="scoring throughput")
-    _add_common(p, config=False)
-    p.add_argument("--ckpt", default=None, help="bench this checkpoint (else synthetic sizes)")
-    p.add_argument("--classes", type=int, default=100)
-    p.add_argument("--n-primitives", dest="n_primitives", type=int, default=16)
-    p.add_argument("--channels", type=int, default=512)
-    p.add_argument("--patches", type=int, default=64)
-    p.add_argument("--maps", type=int, default=100)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
     return top
 
 

@@ -80,9 +80,14 @@ def read_tensor(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:6] == _NUMPY_MAGIC:
         try:
-            return np.load(path)
+            arr = np.load(path)
         except ValueError as e:
             raise InvalidInput(f"{path}: unreadable .npy file ({e})") from None
+        if arr.dtype.kind not in "biuf":  # complex, strings, records: no real tensor
+            raise UnknownDtype(f"{path}: .npy dtype {arr.dtype} is not a real number type")
+        if arr.ndim < 1:
+            raise InvalidInput(f"{path}: a .npy tensor needs ndim >= 1, got 0")
+        return arr
     if raw[:4] != MAGIC:
         raise BadMagic(f"{path}: not a tensor container (magic {raw[:4]!r})")
     if len(raw) < 16:

@@ -111,14 +111,6 @@ class Grads:
     dZ: np.ndarray  # (C, N, d)
 
 
-def _label_columns(labels: np.ndarray, class_ids: list[int]) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    cols, missing = _positions(class_ids, labels)
-    if missing.any():
-        raise InvalidInput(f"label {int(labels[missing][0])} is not a registered class")
-    return cols
-
-
 def _ce_rows(logits: np.ndarray, label_idx: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross entropy and d(mean CE)/d(logits)."""
     b = logits.shape[0]
@@ -372,7 +364,7 @@ def total_loss_and_grad(
     hp.validate()
     _check_registry(bank, weights)
     X3, labels = _checked_maps(batch, bank)
-    label_idx = _label_columns(labels, bank.class_ids)
+    label_idx = _positions(bank.class_ids, labels, "labels")
 
     tz = _trainable_z(bank, trainable_z)
     tw = ~weights.frozen if trainable_w is None else np.asarray(trainable_w, dtype=bool)

@@ -53,15 +53,17 @@ def logsumexp_rows(logits: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
 
 
-def _positions(ids, values) -> tuple[np.ndarray, np.ndarray]:
-    """Index of every value in the ascending integer sequence ``ids``, and a
-    mask of the values missing from it (their index means nothing)."""
+def _positions(ids, values, what: str) -> np.ndarray:
+    """Index of every value in the ascending integer sequence ``ids`` (a
+    bank's class ids, or a subset of them); values missing from it raise
+    InvalidInput naming ``what`` and every missing value."""
     ids = np.asarray(ids, dtype=np.int64)
     values = np.asarray(values, dtype=np.int64)
-    if not len(ids):
-        return np.zeros(values.shape, dtype=np.int64), np.ones(values.shape, dtype=bool)
     pos = np.minimum(np.searchsorted(ids, values), len(ids) - 1)
-    return pos, ids[pos] != values
+    missing = ids[pos] != values if len(ids) else np.ones(values.shape, dtype=bool)
+    if missing.any():
+        raise InvalidInput(f"{what} not registered: {np.unique(values[missing]).tolist()}")
+    return pos
 
 
 def _nearest_rows(Q: np.ndarray, P: np.ndarray, skip: np.ndarray | None = None):

@@ -60,23 +60,8 @@ class PrimitiveBank:
     def channels(self) -> int:
         return self.Z.shape[2]
 
-    def index_of(self, class_id: int) -> int:
-        try:
-            return self.class_ids.index(class_id)
-        except ValueError:
-            raise InvalidInput(f"class {class_id} is not registered") from None
-
-    def indices_of(self, class_ids) -> np.ndarray:
-        """index_of of many classes in one search; the first unregistered
-        one raises InvalidInput."""
-        ids = np.asarray(class_ids, dtype=np.int64)
-        pos, missing = _positions(self.class_ids, ids)
-        if missing.any():
-            raise InvalidInput(f"class {int(ids[missing][0])} is not registered")
-        return pos
-
     def block(self, class_id: int) -> np.ndarray:
-        return self.Z[self.index_of(class_id)]
+        return self.Z[_positions(self.class_ids, [class_id], "class")[0]]
 
     def copy(self) -> "PrimitiveBank":
         return PrimitiveBank(list(self.class_ids), self.Z.copy(), self.frozen.copy())
@@ -228,17 +213,8 @@ class ReplacedBank:
     attention: list[np.ndarray]  # per class (N, M_c)
     donor_rows: list[np.ndarray]  # per class (M_c,) int
 
-    def indices_of(self, class_ids) -> np.ndarray:
-        """index_of of many classes in one search; the first unregistered
-        one raises InvalidInput."""
-        ids = np.asarray(class_ids, dtype=np.int64)
-        pos, missing = _positions(self.class_ids, ids)
-        if missing.any():
-            raise InvalidInput(f"class {int(ids[missing][0])} is not registered")
-        return pos
-
     def block(self, class_id: int) -> np.ndarray:
-        return self.Z_hat[self.class_ids.index(class_id)]
+        return self.Z_hat[_positions(self.class_ids, [class_id], "class")[0]]
 
 
 def _attention_weights(targets: np.ndarray, donors: np.ndarray, gamma: float) -> np.ndarray:
@@ -327,8 +303,8 @@ def hard_nearest_replace(
     n_swap = int(np.ceil(ratio * bank.n_primitives))
     if n_swap == 0 or not targets:
         return out
-    pool = bank.Z[bank.indices_of(donors)].reshape(-1, bank.channels)
-    blocks = np.repeat(bank.indices_of(targets), n_swap)
+    pool = bank.Z[_positions(bank.class_ids, donors, "donor classes")].reshape(-1, bank.channels)
+    blocks = np.repeat(_positions(bank.class_ids, targets, "target classes"), n_swap)
     picks = np.concatenate([
         np.sort(substream(seed, "replace", c).choice(bank.n_primitives, size=n_swap, replace=False))
         for c in targets

@@ -15,7 +15,6 @@ differs from the unreplaced one only in the rows hard replacement copied in.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -91,9 +90,6 @@ class EvalReport:
     sessions: list[SessionEval]
     performance_drop: float
 
-    def overall_curve(self) -> list[float]:
-        return [s.overall for s in self.sessions]
-
     def to_json_dict(self) -> dict:
         return {
             "head": self.head,
@@ -161,16 +157,6 @@ def score_matrix(state: ModelState, X3: np.ndarray, head: str = "composition") -
     return cosine_scores_stack(X3, state.bank.Z, "mean" if head == "allmatch" else "max")
 
 
-def _label_columns(ids, labels, what: str) -> np.ndarray:
-    """The index of every label in the ascending class ids (a bank's, or a
-    subset's); one not among them raises InvalidInput."""
-    labels = np.asarray(labels, dtype=np.int64)
-    cols, missing = _positions(ids, labels)
-    if missing.any():
-        raise InvalidInput(f"{what} not registered: {np.unique(labels[missing]).tolist()}")
-    return cols
-
-
 def _prepared(X3, alpha: float) -> PreparedMaps:
     """Finite maps prepared once, for every scoring call of one analysis."""
     X3 = np.asarray(X3, dtype=np.float64)
@@ -201,7 +187,7 @@ def evaluate_sessions(
     session_of = np.array([state.class_sessions[c] for c in state.bank.class_ids])
     batches = [test_sets[k] for k in range(nses)]
     true_cols = np.concatenate(
-        [_label_columns(ids, b.labels, f"session {k} test labels") for k, b in enumerate(batches)]
+        [_positions(ids, b.labels, f"session {k} test labels") for k, b in enumerate(batches)]
     )
     X3 = np.concatenate([b.X for b in batches]) if len(batches) > 1 else batches[0].X
     scores = score_matrix(state, X3, head)
@@ -284,7 +270,7 @@ def importance_filter_eval(
     n = test_batch.X.shape[1]
     if not keep or keep[0] < 1 or keep[-1] > n:
         raise InvalidInput(f"keep counts must lie in [1, {n}]")
-    truth = _label_columns(state.bank.class_ids, test_batch.labels, "labels")
+    truth = _positions(state.bank.class_ids, test_batch.labels, "labels")
     maps = _prepared(test_batch.X, state.hp.alpha)
     full = score_matrix(state, maps, "composition") if keep[-1] == n or not rank_by_true_label else None
     rank_col = truth if rank_by_true_label else np.argmax(full, axis=1)
@@ -313,7 +299,7 @@ def retrieval_export(state: ModelState, batch: FeatureBatch, top_k: int = 5) -> 
     if top_k < 1:
         raise InvalidInput("top_k must be >= 1")
     labels = np.asarray(batch.labels, dtype=np.int64)
-    cols = _label_columns(state.bank.class_ids, labels, "labels")
+    cols = _positions(state.bank.class_ids, labels, "labels")
     imp = patch_importance(_prepared(batch.X, state.hp.alpha), state.bank.Z[cols])
     n = imp.shape[1]
     # ties in importance go to the lowest sample id, then the lowest patch
@@ -397,8 +383,8 @@ def reuse_retention_eval(
     ratios = [float(r) for r in ratios]
     if not all(0.0 <= r <= 1.0 for r in ratios):
         raise InvalidInput(f"ratios must lie in [0, 1], got {ratios}")
-    novel_cols = state.bank.indices_of(novel_ids)
-    truth = _label_columns(novel_ids, full.labels, "novel-session test labels")
+    novel_cols = _positions(state.bank.class_ids, novel_ids, "novel classes")
+    truth = _positions(novel_ids, full.labels, "novel-session test labels")
     maps = _prepared(full.X, state.hp.alpha)
     Zn = state.bank.Z[novel_cols]
     gram = _gram_form(maps.shape, Zn.shape)
@@ -463,29 +449,3 @@ def sweep_table(results: dict[int, EvalReport]) -> str:
         )
     return "\n".join(lines)
 
-
-@dataclass
-class BenchResult:
-    n_maps: int
-    n_classes: int
-    reps: list[float]
-    median_seconds: float
-
-
-def throughput_bench(state: ModelState, maps: FeatureBatch | np.ndarray, reps: int = 5) -> BenchResult:
-    """Median wall time of scoring + argmax over ``reps`` repetitions."""
-    if reps < 1:
-        raise InvalidInput("reps must be >= 1")
-    X3 = np.asarray(maps.X if hasattr(maps, "X") else maps, dtype=np.float64)
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        scores = score_matrix(state, X3, "composition")
-        scores.argmax(axis=1)
-        times.append(time.perf_counter() - t0)
-    return BenchResult(
-        n_maps=len(X3),
-        n_classes=state.bank.n_classes,
-        reps=times,
-        median_seconds=float(np.median(times)),
-    )

@@ -30,14 +30,6 @@ from .seeding import substream
 
 
 @dataclass
-class OptimizerState:
-    """Momentum buffers for the two trainable tensors."""
-
-    vW: np.ndarray
-    vZ: np.ndarray
-
-
-@dataclass
 class ModelState:
     """Everything a session leaves behind."""
 
@@ -123,7 +115,7 @@ def _sgd_epochs(
     unfrozen ones).  Returns every epoch's batch losses in order.
     """
     tw = ~weights.frozen if trainable_w is None else trainable_w
-    opt = OptimizerState(vW=np.zeros_like(weights.W), vZ=np.zeros_like(bank.Z))
+    vW, vZ = np.zeros_like(weights.W), np.zeros_like(bank.Z)  # momentum buffers
     out = []
     for batches in epochs:
         out.append([])
@@ -132,8 +124,8 @@ def _sgd_epochs(
                 batch, bank, weights, donor_map, hp, include_cls=include_cls, trainable_w=tw,
                 fixed=fixed,
             )
-            weights.W, opt.vW = sgd_step(weights.W, grads.dW, opt.vW, hp.lr, hp.momentum, tw)
-            bank.Z, opt.vZ = sgd_step(bank.Z, grads.dZ, opt.vZ, hp.lr, hp.momentum, ~bank.frozen)
+            weights.W, vW = sgd_step(weights.W, grads.dW, vW, hp.lr, hp.momentum, tw)
+            bank.Z, vZ = sgd_step(bank.Z, grads.dZ, vZ, hp.lr, hp.momentum, ~bank.frozen)
             out[-1].append(loss)
     return out
 

@@ -70,7 +70,7 @@ class TestParsing:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for name in ("gen", "train-base", "train-inc", "eval", "sweep",
-                     "importance", "reuse-eval", "compare-reps", "bench"):
+                     "importance", "reuse-eval", "compare-reps"):
             assert name in out
 
     def test_subcommand_help_lists_flags(self, capsys):
@@ -98,6 +98,9 @@ class TestParsing:
     def test_threads_flag_is_gone(self, tmp_path, capsys):
         assert main(["gen", "--out", str(tmp_path / "ds"), "--threads", "1"]) == 1
         assert "--threads" in capsys.readouterr().err
+
+    def test_bench_subcommand_is_gone(self):
+        assert main(["bench"]) == 1
 
     def test_every_hyperparameter_flag_reaches_the_checkpoint(self, work, tmp_path):
         out = tmp_path / "ck"
@@ -371,7 +374,7 @@ class TestEval:
         state = load_checkpoint(work["ck2"])
         ds = load_dataset(work["data"])
         want = evaluate_sessions(state, ds.test)
-        assert [s["overall"] for s in doc["sessions"]] == want.overall_curve()
+        assert [s["overall"] for s in doc["sessions"]] == [s.overall for s in want.sessions]
         assert doc["performance_drop"] == want.performance_drop
 
     def test_alternative_heads_run(self, work, capsys):
@@ -414,6 +417,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert "non-finite" in err
         assert "Traceback" not in err
+
+    def test_string_npy_bank_is_data_error(self, work, tmp_path, capsys):
+        ck = tmp_path / "ck"
+        shutil.copytree(work["ck2"], ck)
+        with open(ck / "bank.ckat", "wb") as fh:  # np.save on a path would append .npy
+            np.save(fh, read_tensor(work["ck2"] / "bank.ckat").astype(str))
+        rc = main(["eval", "--ckpt", str(ck), "--data", str(work["data"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bank.ckat" in err and "dtype" in err and "Traceback" not in err
 
     def test_provenance_to_stderr_without_out(self, work, capsys):
         rc = main(["eval", "--ckpt", str(work["ck2"]), "--data", str(work["data"])])
@@ -599,24 +612,20 @@ class TestCompareReps:
         rc = main(["compare-reps", str(path), str(path)])
         assert rc == 2
 
-
-class TestBench:
-    def test_synthetic_sizes(self, tmp_path, capsys):
-        out = tmp_path / "bench"
-        rc = main(["bench", "--classes", "3", "--n-primitives", "2", "--channels", "8",
-                   "--patches", "4", "--maps", "5", "--reps", "2", "--out", str(out)])
-        assert rc == 0
-        assert "5 maps x 3 classes" in capsys.readouterr().out
-        doc = json.loads((out / "bench.json").read_text())
-        assert doc["n_maps"] == 5
-        assert doc["median_seconds"] > 0
-        assert len(doc["reps"]) == 2
-
-    def test_bench_a_checkpoint(self, work, capsys):
-        rc = main(["bench", "--ckpt", str(work["ck2"]), "--maps", "4", "--patches", "4",
-                   "--reps", "1"])
-        assert rc == 0
-        assert "4 maps x 8 classes" in capsys.readouterr().out
+    @pytest.mark.parametrize("arr, says", [
+        (np.array([["a", "b"], ["c", "d"]]), "dtype"),
+        (np.ones((4, 3)) + 1j, "dtype"),
+        (np.float64(1.0), "ndim"),
+    ], ids=["str", "complex", "zero-dim"])
+    def test_npy_without_a_real_tensor_is_data_error(self, tmp_path, capsys, arr, says):
+        good = tmp_path / "good.ckat"
+        write_tensor(good, np.random.default_rng(3).standard_normal((4, 3)))
+        odd = tmp_path / "odd.npy"
+        np.save(odd, arr)
+        rc = main(["compare-reps", str(good), str(odd)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "odd.npy" in err and says in err and "Traceback" not in err
 
 
 class TestProvenance:

@@ -254,6 +254,35 @@ class TestNumpyImport:
         with pytest.raises(InvalidInput, match="obj.npy"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("arr", [
+        np.array([["a", "b"], ["c", "d"]]),
+        np.array([[1.0 + 2.0j, 3.0]]),
+        np.zeros(2, dtype=[("x", "f8"), ("y", "f8")]),
+        np.array([1, 2], dtype="datetime64[D]"),
+    ], ids=["str", "complex", "record", "datetime"])
+    def test_non_real_npy_rejected_naming_the_file(self, tmp_path, arr):
+        # a string map once raised a bare ValueError; a complex one lost its
+        # imaginary part with only a warning
+        path = tmp_path / "odd.npy"
+        np.save(path, arr)
+        with pytest.raises(UnknownDtype, match="odd.npy"):
+            read_tensor(path)
+
+    def test_zero_dim_npy_rejected(self, tmp_path):
+        path = tmp_path / "scalar.npy"
+        np.save(path, np.float64(3.0))
+        with pytest.raises(InvalidInput, match=r"scalar\.npy.*ndim"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float16])
+    def test_real_number_npy_accepted(self, tmp_path, dtype):
+        arr = np.arange(6).reshape(2, 3).astype(dtype)
+        path = tmp_path / "ok.npy"
+        np.save(path, arr)
+        back = read_tensor(path)
+        assert back.dtype == arr.dtype
+        np.testing.assert_array_equal(back, arr)
+
 
 def _toy_batch(b=4, n=3, d=5, seed=0):
     rng = np.random.default_rng(seed)

@@ -22,3 +22,22 @@ def test_demo_exits_zero(name, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_cli_walkthrough_exits_zero(tmp_path):
+    # the script calls `compset`: a shim on PATH runs the package under test
+    shim = tmp_path / "bin" / "compset"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m compset "$@"\n')
+    shim.chmod(0o755)
+    env = dict(
+        os.environ,
+        PATH=os.pathsep.join([str(shim.parent), os.environ.get("PATH", "")]),
+        PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+    )
+    proc = subprocess.run(
+        ["bash", str(ROOT / "demos" / "cli_walkthrough.sh"), str(tmp_path / "work")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

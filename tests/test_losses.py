@@ -452,9 +452,10 @@ class TestTotalLossAndGrad:
         rb0 = build_replaced(bank, donor_map, hp.gamma)
 
         from compset.cka import composition_scores_stack
-        from compset.losses import _ce_rows, _label_columns
+        from compset.losses import _ce_rows
+        from compset.numkit import _positions
 
-        label_idx = _label_columns(np.asarray(batch.labels), bank.class_ids)
+        label_idx = _positions(bank.class_ids, batch.labels, "labels")
 
         def frozen_att_objective(theta):
             _, z = unpack_params(theta, weights.W.shape, bank.Z.shape)

@@ -3,7 +3,7 @@ import pytest
 
 from compset import InvalidInput
 from compset.cka import gram_frobenius_stack
-from compset.numkit import as_matrix, logsumexp_rows, softmax_rows
+from compset.numkit import _positions, as_matrix, logsumexp_rows, softmax_rows
 from util import central_diff_grad, softmax_oracle
 
 
@@ -79,6 +79,21 @@ class TestAsMatrix:
             as_matrix(np.zeros((0, 3)))
         with pytest.raises(InvalidInput):
             as_matrix([[np.nan, 1.0]])
+
+
+class TestPositions:
+    """The one lookup of registered ids: labels, banks and subsets."""
+
+    def test_positions_of_registered_values(self):
+        assert _positions([2, 5, 9], [9, 2, 5, 5], "labels").tolist() == [2, 0, 1, 1]
+        assert _positions([2, 5, 9], [], "labels").shape == (0,)
+        assert _positions([], [], "labels").shape == (0,)
+
+    def test_missing_values_are_named_once_each(self):
+        with pytest.raises(InvalidInput, match=r"^labels not registered: \[1, 10\]$"):
+            _positions([2, 5, 9], [10, 5, 1, 10], "labels")
+        with pytest.raises(InvalidInput, match=r"^classes not registered: \[3\]$"):
+            _positions([], [3], "classes")
 
 
 class TestCentralDiffGrad:

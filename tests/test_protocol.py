@@ -1,4 +1,4 @@
-"""Tests for session evaluation, ablation tooling, and the benchmark."""
+"""Tests for session evaluation and the ablation and analysis tooling."""
 
 import tracemalloc
 from dataclasses import astuple, replace
@@ -25,13 +25,13 @@ from compset import (
     run_sessions,
     score_matrix,
     synth_generate,
-    throughput_bench,
     train_base,
     train_incremental,
 )
 from compset import protocol
 from compset.cka import _gram_form
 from compset.losses import ClassifierWeights
+from compset.numkit import _positions
 from compset.primitives import PrimitiveBank
 from compset.protocol import (
     HEADS,
@@ -257,7 +257,7 @@ class TestEvaluateSessions:
     def test_perfectly_separable_state_scores_100(self):
         st = perfect_state()
         rep = evaluate_sessions(st, perfect_tests(st))
-        assert rep.overall_curve() == [100.0, 100.0]
+        assert [s.overall for s in rep.sessions] == [100.0, 100.0]
         assert [s.base for s in rep.sessions] == [100.0, 100.0]
         assert rep.sessions[0].novel is None
         assert rep.sessions[1].novel == 100.0
@@ -547,9 +547,7 @@ class TestRetrievalExport:
         doc = retrieval_export(state, batch, top_k=7)
         per_class = {}
         for i, c in enumerate(int(c) for c in batch.labels):
-            imp = patch_importance(
-                power_transform(batch.X[i], state.hp.alpha), state.bank.Z[state.bank.index_of(c)]
-            )
+            imp = patch_importance(power_transform(batch.X[i], state.hp.alpha), state.bank.block(c))
             per_class.setdefault(c, []).extend((-v, batch.sample_ids[i], p) for p, v in enumerate(imp))
         assert sorted(doc["top_patches"]) == sorted(str(c) for c in per_class)
         for c, triples in per_class.items():
@@ -819,7 +817,7 @@ def _restricted(st: ModelState, sessions: int) -> ModelState:
     """A frozen state cut back to the classes of its first ``sessions``
     sessions: by bitwise freezing, the state that existed then."""
     ids = [c for c in st.bank.class_ids if st.class_sessions[c] < sessions]
-    cols = st.bank.indices_of(ids)
+    cols = _positions(st.bank.class_ids, ids, "classes")
     return ModelState(
         bank=PrimitiveBank(ids, st.bank.Z[cols], st.bank.frozen[cols]),
         weights=ClassifierWeights(ids, st.weights.W[cols], st.weights.frozen[cols]),
@@ -857,7 +855,7 @@ class TestPrimitiveCountSweep:
         res = primitive_count_sweep(ds, [HP.n_primitives], HP)
         want = evaluate_sessions(state, ds.test)
         got = res[HP.n_primitives]
-        assert got.overall_curve() == want.overall_curve()
+        assert [s.overall for s in got.sessions] == [s.overall for s in want.sessions]
         assert got.performance_drop == want.performance_drop
 
     def test_more_primitives_beat_one_here(self, ds):
@@ -877,21 +875,3 @@ class TestPrimitiveCountSweep:
             primitive_count_sweep(ds, [0, 4], HP)
         with pytest.raises(InvalidInput):
             primitive_count_sweep(ds, [], HP)
-
-
-class TestThroughputBench:
-    def test_reports_median_of_rep_times(self, state, ds):
-        res = throughput_bench(state, ds.test[0], reps=3)
-        assert len(res.reps) == 3
-        assert res.median_seconds == float(np.median(res.reps))
-        assert all(t > 0 for t in res.reps)
-        assert res.n_maps == len(ds.test[0])
-        assert res.n_classes == state.bank.n_classes
-
-    def test_accepts_raw_arrays(self, state, ds):
-        res = throughput_bench(state, np.asarray(ds.test[0].X), reps=1)
-        assert res.n_maps == len(ds.test[0])
-
-    def test_bad_reps_rejected(self, state, ds):
-        with pytest.raises(InvalidInput):
-            throughput_bench(state, ds.test[0], reps=0)

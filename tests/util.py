@@ -9,10 +9,10 @@ The two nearest-row references are k-means and hard replacement as
 brute-force searches: the full (P, k, d) broadcast and a loop over picks.
 The attention and evaluation references keep the arithmetic the package
 had before subnormal weights were flushed and before the confusion counts
-came from one bincount.  `center_rows` and `central_diff_grad` were public
-package functions with no caller outside the tests; the reuse reference
-scores every bank in its own kernel pass, as the package did before its
-table of row contributions.
+came from one bincount.  `center_rows`, `central_diff_grad` and
+`match_weights` were public package functions with no caller outside the
+tests; the reuse reference scores every bank in its own kernel pass, as
+the package did before its table of row contributions.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ from compset import (
 )
 from compset.cka import _set_matrix, center_stack, gram_frobenius_stack, power_transform_stack
 from compset.losses import _ce_rows, _cls_core, _replacement_backward
-from compset.numkit import softmax_rows
+from compset.numkit import _positions, softmax_rows
 from compset.protocol import EvalReport, SessionEval, performance_drop, score_matrix
 from compset.seeding import seed_sequence, substream
 from compset.training import _mean_feature_rows
@@ -58,6 +58,16 @@ def center_rows(X) -> np.ndarray:
     applying it twice is a no-op.
     """
     return center_stack(_set_matrix(X, "X")[None])[0]
+
+
+def match_weights(x, z) -> np.ndarray:
+    """Per-(patch, primitive) weights W[i, k] = (Xc_i . Zc_k) / (a * b),
+    with a = ||Xc Xc^T||_F and b = ||Zc Zc^T||_F, centred through the
+    projector.  sum_ik W[i, k] * (Xc_i . Zc_k) is the similarity, so the
+    weights apportion a pair's score exactly across its (patch, primitive)
+    pairs."""
+    xc, zc = center_oracle(x), center_oracle(z)
+    return (xc @ zc.T) / (np.linalg.norm(xc @ xc.T) * np.linalg.norm(zc @ zc.T))
 
 
 def central_diff_grad(f, theta, eps: float = 1e-5) -> np.ndarray:
@@ -207,9 +217,9 @@ def hard_nearest_replace_oracle(bank, target_classes, donor_classes, ratio: floa
     n_swap = int(np.ceil(ratio * bank.n_primitives))
     if n_swap == 0:
         return out
-    pool = np.concatenate([bank.Z[bank.index_of(c)] for c in donors], axis=0)
+    pool = np.concatenate([bank.block(c) for c in donors], axis=0)
     for c in sorted(int(c) for c in target_classes):
-        i = bank.index_of(c)
+        i = _positions(bank.class_ids, [c], "class")[0]
         rng = substream(seed, "replace", c)
         picks = np.sort(rng.choice(bank.n_primitives, size=n_swap, replace=False))
         for p in picks:
