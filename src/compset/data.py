@@ -46,21 +46,26 @@ _CODE_OF_KIND = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 _MAX_NDIM = 32
 
 
-def write_atomic(path, payload: bytes | str) -> None:
-    """Give path its new contents all at once: write a sibling temp file,
-    then os.replace it over path.  A write that fails part-way leaves the
-    previous file byte-identical and no temp file behind."""
+def write_atomic(path, *parts) -> None:
+    """Give path its new contents all at once: write each part (str as
+    UTF-8, or anything with a contiguous buffer, written without a copy)
+    in turn to a sibling temp file, then os.replace it over path.  A write
+    that fails part-way leaves the previous file byte-identical and no
+    temp file behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_bytes(payload.encode() if isinstance(payload, str) else payload)
+        with tmp.open("wb") as f:
+            for part in parts:
+                f.write(part.encode() if isinstance(part, str) else part)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def write_tensor(path, tensor) -> None:
-    """Write a float32/float64 array to the binary container."""
+    """Write a float32/float64 array to the binary container: the header,
+    then the array's own buffer."""
     arr = np.ascontiguousarray(tensor)
     code = _CODE_OF_KIND.get(arr.dtype.newbyteorder("="))
     if code is None:
@@ -71,47 +76,58 @@ def write_tensor(path, tensor) -> None:
         raise InvalidInput(f"every dim must be >= 1, got {arr.shape}")
     header = MAGIC + struct.pack("<III", VERSION, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = arr.astype(_DTYPE_CODES[code], copy=False).tobytes(order="C")
-    write_atomic(path, header + payload)
+    payload = arr.astype(_DTYPE_CODES[code], copy=False)
+    write_atomic(path, header, memoryview(payload).cast("B"))
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a container (or .npy) file back into a writable array."""
-    raw = Path(path).read_bytes()
-    if raw[:6] == _NUMPY_MAGIC:
-        try:
-            arr = np.load(path)
-        except ValueError as e:
-            raise InvalidInput(f"{path}: unreadable .npy file ({e})") from None
-        if arr.dtype.kind not in "biuf":  # complex, strings, records: no real tensor
-            raise UnknownDtype(f"{path}: .npy dtype {arr.dtype} is not a real number type")
-        if arr.ndim < 1:
-            raise InvalidInput(f"{path}: a .npy tensor needs ndim >= 1, got 0")
-        return arr
-    if raw[:4] != MAGIC:
-        raise BadMagic(f"{path}: not a tensor container (magic {raw[:4]!r})")
-    if len(raw) < 16:
-        raise TruncatedPayload(f"{path}: header cut short at {len(raw)} bytes")
-    version, code, ndim = struct.unpack_from("<III", raw, 4)
-    if version != VERSION:
-        raise BadVersion(f"{path}: version {version} is not supported")
-    if code not in _DTYPE_CODES:
-        raise UnknownDtype(f"{path}: dtype code {code} is not registered")
-    if ndim < 1 or ndim > _MAX_NDIM:
-        raise TruncatedPayload(f"{path}: implausible ndim {ndim}")
-    if len(raw) < 16 + 4 * ndim:
-        raise TruncatedPayload(f"{path}: dims cut short")
-    dims = struct.unpack_from(f"<{ndim}I", raw, 16)
-    if any(s < 1 for s in dims):
-        raise TruncatedPayload(f"{path}: zero-sized dim in {dims}")
-    dtype = _DTYPE_CODES[code]
-    need = int(np.prod([int(s) for s in dims], dtype=object)) * dtype.itemsize
-    payload = raw[16 + 4 * ndim :]
-    if len(payload) != need:
-        raise TruncatedPayload(
-            f"{path}: payload holds {len(payload)} bytes, header promises {need}"
-        )
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    """Read a container (or .npy) file back into a writable array.
+
+    The payload's length is checked against the file's size before the
+    array is allocated, and then read straight into it."""
+    with Path(path).open("rb") as f:
+        head = f.read(16)
+        if head[:6] == _NUMPY_MAGIC:
+            return _read_npy(path)
+        if head[:4] != MAGIC:
+            raise BadMagic(f"{path}: not a tensor container (magic {head[:4]!r})")
+        if len(head) < 16:
+            raise TruncatedPayload(f"{path}: header cut short at {len(head)} bytes")
+        version, code, ndim = struct.unpack_from("<III", head, 4)
+        if version != VERSION:
+            raise BadVersion(f"{path}: version {version} is not supported")
+        if code not in _DTYPE_CODES:
+            raise UnknownDtype(f"{path}: dtype code {code} is not registered")
+        if ndim < 1 or ndim > _MAX_NDIM:
+            raise TruncatedPayload(f"{path}: implausible ndim {ndim}")
+        raw_dims = f.read(4 * ndim)
+        if len(raw_dims) < 4 * ndim:
+            raise TruncatedPayload(f"{path}: dims cut short")
+        dims = struct.unpack(f"<{ndim}I", raw_dims)
+        if any(s < 1 for s in dims):
+            raise TruncatedPayload(f"{path}: zero-sized dim in {dims}")
+        dtype = _DTYPE_CODES[code]
+        need = int(np.prod([int(s) for s in dims], dtype=object)) * dtype.itemsize
+        have = os.fstat(f.fileno()).st_size - (16 + 4 * ndim)
+        if have != need:
+            raise TruncatedPayload(f"{path}: payload holds {have} bytes, header promises {need}")
+        arr = np.empty(dims, dtype=dtype)
+        got = f.readinto(memoryview(arr).cast("B"))
+        if got != need:
+            raise TruncatedPayload(f"{path}: payload holds {got} bytes, header promises {need}")
+    return arr
+
+
+def _read_npy(path) -> np.ndarray:
+    try:
+        arr = np.load(path)
+    except ValueError as e:
+        raise InvalidInput(f"{path}: unreadable .npy file ({e})") from None
+    if arr.dtype.kind not in "biuf":  # complex, strings, records: no real tensor
+        raise UnknownDtype(f"{path}: .npy dtype {arr.dtype} is not a real number type")
+    if arr.ndim < 1:
+        raise InvalidInput(f"{path}: a .npy tensor needs ndim >= 1, got 0")
+    return arr
 
 
 @dataclass
@@ -449,7 +465,7 @@ def load_dataset(directory) -> SynthDataset:
     check_json(manifest, MANIFEST_SCHEMA, mpath)
     cfg = SynthConfig(**json_fields(SynthConfig, require_key(manifest, "config", mpath), mpath))
     cfg.validate()
-    pool = read_tensor(root / manifest.get("pool_file", "pool.ckat")).astype(np.float64)
+    pool = read_tensor(root / manifest.get("pool_file", "pool.ckat")).astype(np.float64, copy=False)
     classes = require_key(manifest, "classes", mpath)
     samples = require_key(manifest, "samples", mpath)
     ann = manifest.get("annotations", {})
@@ -478,7 +494,7 @@ def load_dataset(directory) -> SynthDataset:
             if any(r["path"] != fname for r in rows):
                 raise InvalidInput(f"{mpath}: session {k} {split} spans multiple files")
             if fname not in tensors:
-                tensors[fname] = read_tensor(root / fname).astype(np.float64)
+                tensors[fname] = read_tensor(root / fname).astype(np.float64, copy=False)
             stack = tensors[fname]
             if [r["row"] for r in rows] != list(range(len(rows))) or len(rows) != stack.shape[0]:
                 raise InvalidInput(f"{mpath}: rows of {fname} are not a dense 0..{stack.shape[0]-1}")

@@ -24,6 +24,12 @@ fixed columns once with `fixed_columns` and hands them back in.
 A loss call power-transforms and centres its batch once (`prepare_maps`)
 and both composition heads score that; `FixedColumns` keeps the prepared
 batch, so an incremental session prepares its shots once.
+
+The replaced term's backward takes one stacked pass per donor group of
+`build_replaced`, with no loop over classes.  Each block sums what the
+classes send it in class order, so the bytes equal a loop over classes.
+When every donor block is masked (an incremental session, whose donors
+are frozen base blocks), the donor-side terms are skipped.
 """
 
 from __future__ import annotations
@@ -178,47 +184,73 @@ def _head_core(maps, label_idx, Zlive, live, fixed, tau, live_ids):
     return loss, vjp(tau * dlogit[:, live])
 
 
-def _replacement_backward(bank, rb: ReplacedBank, dZhat, gamma, stop_attention_grad):
+def _replacement_backward(bank, rb: ReplacedBank, dZhat, gamma, stop_attention_grad, trainable):
     """Scatter d(loss)/d(Z_hat) of the classes in rb back to the raw bank
-    blocks.
+    blocks; blocks that `trainable` masks get exactly zero.
 
     Z_hat_i = sum_k att_ik D_k with att = softmax_k(-gamma ||P_i - D_k||^2)
     over that class's donors D; P are the class's own primitives.  The
     direct path moves gradient to the donors; unless stopped, the attention
     path moves it to both the donors and the class's own block.  A class
     left out of rb must be fixed: everything it would reach is masked.
+
+    Each donor group is one stacked pass.  Every reached block sums what
+    each class sends it in class order, as a loop over classes would; a
+    group whose donor blocks are all masked sends them nothing.
     """
     cnum, npr, d = bank.Z.shape
-    dZ = np.zeros((cnum, npr, d))
-    flatZ = bank.Z.reshape(cnum * npr, d)
-    flat_out = dZ.reshape(cnum * npr, d)
-    pos = {c: i for i, c in enumerate(bank.class_ids)}
-    for j, c in enumerate(rb.class_ids):
-        i = pos[c]
-        att = rb.attention[j]  # (N, M)
-        idx = rb.donor_rows[j]  # (M,)
-        donors = flatZ[idx]
-        g = dZhat[j]  # (N, d)
-        contrib = att.T @ g
+    trainable = np.asarray(trainable, dtype=bool)
+    sends = []  # (class positions (G,), bank blocks (G, K), values (G, K*N, d))
+    for grp in rb.groups:
+        att, donors = grp.attention, grp.donors  # (G, N, M), (G or 1, M, d)
+        own = bank.Z[grp.blocks]  # (G, N, d)
+        g = dZhat[grp.positions]  # (G, N, d)
         if not stop_attention_grad:
-            u = g @ donors.T  # (N, M): dL/d att
-            ubar = (att * u).sum(axis=1, keepdims=True)
-            ds = gamma * att * (u - ubar)  # dL/d s_r, softmax jacobian folded in
-            rs = ds.sum(axis=1)
-            dZ[i] += -2.0 * (rs[:, None] * bank.Z[i] - ds @ donors)
-            contrib = contrib + 2.0 * (ds.T @ bank.Z[i] - ds.sum(axis=0)[:, None] * donors)
-        flat_out[idx] += contrib  # donor rows are unique per class
+            u = g @ donors.transpose(0, 2, 1)  # (G, N, M): dL/d att
+            ds = att * u
+            ubar = ds.sum(axis=2, keepdims=True)
+            u -= ubar
+            np.multiply(att, gamma, out=ds)
+            ds *= u  # dL/d s_r, softmax jacobian folded in
+            rs = ds.sum(axis=2)
+            own_grad = -2.0 * (rs[:, :, None] * own - ds @ donors)
+            sends.append((grp.positions, grp.blocks[:, None], own_grad))
+        dblocks = grp.donor_rows[:, ::npr] // npr
+        if trainable[dblocks].any():
+            if stop_attention_grad:
+                contrib = att.transpose(0, 2, 1) @ g  # (G, M, d)
+            else:
+                side = ds.transpose(0, 2, 1) @ own
+                contrib = np.multiply(ds.sum(axis=1)[:, :, None], donors)
+                side -= contrib
+                side *= 2.0
+                np.matmul(att.transpose(0, 2, 1), g, out=contrib)
+                contrib += side
+            sends.append((grp.positions, dblocks, contrib))
+    dZ = np.zeros((cnum, npr, d))
+    if sends:
+        # one slice per class over the reached blocks, summed in class
+        # order; a class reaches each block at most once
+        reached = np.zeros(cnum, dtype=bool)
+        for _, b, _ in sends:
+            reached[b] = True
+        slot = np.cumsum(reached) - 1
+        stack = np.zeros((len(rb.class_ids), int(reached.sum()), npr, d))
+        for at, b, v in sends:
+            stack[at[:, None], slot[b]] = v.reshape(len(at), -1, npr, d)
+        dZ[reached] = np.add.reduce(stack, axis=0, initial=0.0)
+    dZ[~trainable] = 0.0
     return dZ
 
 
-def _rcmp_core(maps, label_idx, bank, donor_map, live, fixed, hp: Hyperparams):
+def _rcmp_core(maps, label_idx, bank, donor_map, live, fixed, hp: Hyperparams, tz):
     """Replaced-composition cross entropy; the live columns' replaced sets
     are rebuilt from the current bank on every call."""
     rb = build_replaced(bank, donor_map, hp.gamma, _ids(bank, live))
     loss, dZhat = _head_core(maps, label_idx, rb.Z_hat, live, fixed, hp.tau, rb.class_ids)
     if dZhat is None:
         return loss, None
-    return loss, _replacement_backward(bank, rb, dZhat, hp.gamma, hp.stop_attention_grad)
+    return loss, _replacement_backward(bank, rb, dZhat, hp.gamma, hp.stop_attention_grad, tz)
 
 
 def _replaced_live(bank: PrimitiveBank, donor_map, tz: np.ndarray) -> np.ndarray:
@@ -394,7 +426,7 @@ def total_loss_and_grad(
         if g is not None:
             dZ[tz] += hp.lambda1 * g
     if hp.lambda2 != 0.0:
-        loss, g = _rcmp_core(maps, label_idx, bank, donor_map, live_rcmp, fixed_rcmp, hp)
+        loss, g = _rcmp_core(maps, label_idx, bank, donor_map, live_rcmp, fixed_rcmp, hp, tz)
         total += hp.lambda2 * loss
         if g is not None:
             dZ += hp.lambda2 * g

@@ -8,6 +8,14 @@ squared distances); at sharp attention this degenerates to copying the
 nearest donor, which is also available directly as a hard, ratio-
 controlled edit used by the reuse analysis.
 
+Replacement takes one stacked pass per donor count, with no loop over
+classes.  Squared distances come in chunks of at most ``_CHUNK_BYTES`` of
+target-donor differences (one target row where a row alone is larger),
+each summed over d by the einsum a single class would use.  Where the classes donate to each other (the base session),
+each pair of rows is differenced once and mirrored.  One C-contiguous
+(G, N, M) softmax and one stacked product follow.  Every class gets the
+bytes of a loop over classes.
+
 Both nearest-row searches here, the Lloyd assignment of k-means init and
 the hard replacement, go through ``numkit._nearest_rows``: GEMM-form
 distances over blocks of query rows under a byte budget, with each row's
@@ -18,6 +26,7 @@ argmins, lowest-index ties and copied bytes equal a brute-force search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,64 +209,132 @@ def extend_bank(
     )
 
 
+class DonorGroup(NamedTuple):
+    """Replaced classes that have the same number of donor rows, stacked.
+
+    positions index the ReplacedBank's class_ids, blocks the bank's
+    classes.  donor_rows are flat indices into bank.Z.reshape(C*N, d), in
+    ascending donor order per class, so gradients can be scattered back to
+    the donors; donors holds those rows, once when every class of the
+    group has the same donors.
+    """
+
+    positions: np.ndarray  # (G,) int
+    blocks: np.ndarray  # (G,) int
+    attention: np.ndarray  # (G, N, M) C-contiguous, rows sum to 1; a free (G*N, M) view
+    donor_rows: np.ndarray  # (G, M) int
+    donors: np.ndarray  # (G, M, d), or (1, M, d) when shared
+
+
 @dataclass
 class ReplacedBank:
     """Attention-rewritten blocks plus the attention that produced them.
 
-    donor_rows[i] are flat indices into bank.Z.reshape(C*N, d) so gradients
-    can be scattered back to the donors.
+    `groups` holds the stacked attention, one group per donor count;
+    attention[i] and donor_rows[i] are views of class i's slices.
     """
 
     class_ids: list[int]
     Z_hat: np.ndarray  # (C, N, d)
     attention: list[np.ndarray]  # per class (N, M_c)
     donor_rows: list[np.ndarray]  # per class (M_c,) int
+    groups: list[DonorGroup]
 
     def block(self, class_id: int) -> np.ndarray:
         return self.Z_hat[_positions(self.class_ids, [class_id], "class")[0]]
 
 
-def _attention_weights(targets: np.ndarray, donors: np.ndarray, gamma: float) -> np.ndarray:
-    """softmax_k(gamma * -(||t_i - d_k||^2)) rows; rows sum to 1.
+# bytes of one chunk of target-donor differences
+_CHUNK_BYTES = 2**20
+
+
+def _chunk_rows(cols: int, d: int) -> int:
+    """Target rows per chunk of (rows, cols, d) differences."""
+    return max(1, _CHUNK_BYTES // (cols * d * 8))
+
+
+def _squares(diff: np.ndarray) -> np.ndarray:
+    """(r, k) sums over d of a C-contiguous (r, k, d) difference chunk, each
+    summed in the same order whatever r and k are."""
+    return np.einsum("ikd,ikd->ik", diff, diff)
+
+
+def _others(values: np.ndarray) -> np.ndarray:
+    """(G, G-1): row k holds every value but the k-th, in order."""
+    g = len(values)
+    return np.broadcast_to(values, (g, g))[~np.eye(g, dtype=bool)].reshape(g, g - 1)
+
+
+def _mutual_distances(pts: np.ndarray, npr: int) -> np.ndarray:
+    """(R, R) squared distances between the rows of G blocks of npr rows.
+
+    Only pairs from different blocks are read.  Each is formed once, from
+    the earlier block's row, and mirrored: (a - b)^2 equals (b - a)^2 bit
+    for bit and the sum over d runs in the same order.
+    """
+    n, d = pts.shape
+    table = np.empty((n, n))
+    for lo in range(0, n - npr, npr):  # one target block per pass
+        c0 = lo + npr
+        step = _chunk_rows(n - c0, d)
+        for r0 in range(lo, c0, step):
+            r1 = min(c0, r0 + step)
+            sq = _squares(pts[None, c0:] - pts[r0:r1, None])
+            table[r0:r1, c0:] = sq
+            table[c0:, r0:r1] = sq.T
+    return table
+
+
+def _group_distances(pts: np.ndarray, donors: np.ndarray, npr: int, mutual: bool) -> np.ndarray:
+    """(G, N, M) squared distances from each class's N rows (pts, (G*N, d))
+    to its M donor rows (donors, (G, M, d) or (1, M, d) when shared), in
+    chunks of at most _CHUNK_BYTES of differences, or of one target row.
+    mutual: every class's donors are the other classes of the group."""
+    rows, d = pts.shape
+    g, m = rows // npr, donors.shape[1]
+    if mutual:
+        cols = (_others(np.arange(g))[:, :, None] * npr + np.arange(npr)).reshape(g, 1, m)
+        table = _mutual_distances(pts, npr).reshape(g, npr, rows)
+        return np.take_along_axis(table, cols, axis=2)
+    out = np.empty((rows, m))
+    step = _chunk_rows(m, d)
+    for r0 in range(0, rows, step):
+        r1 = min(rows, r0 + step)
+        src = donors if len(donors) == 1 else donors[np.arange(r0, r1) // npr]
+        out[r0:r1] = _squares(src - pts[r0:r1, None])
+    return out.reshape(g, npr, m)
+
+
+def _attention_weights(sq: np.ndarray, gamma: float) -> np.ndarray:
+    """softmax(-gamma * sq) over the last axis of a C-contiguous stack of
+    squared distances, which it overwrites; rows sum to 1.
 
     Weights below the smallest normal float are flushed to 0: at sharp
     attention many are subnormal, and arithmetic on subnormals is slow in
-    the products that use them.  exp is skipped where its result would be
-    0 or subnormal, where NumPy's exp is also slow.  A flushed term is
-    below an ulp of any sum that also holds a normal term, so only a sum of
-    flushed terms alone changes: it becomes 0 instead of a few times the
-    smallest normal.
+    the products that use them.  Where exp's result would be 0 or
+    subnormal, its argument is zeroed first and its result then dropped:
+    NumPy's exp takes a slow path below about -708, and a multiply by the
+    0/1 mask is faster than a masked exp.  A flushed term is below an ulp
+    of any sum that also holds a normal term, so only a sum of flushed
+    terms alone changes: it becomes 0 instead of a few times the smallest
+    normal.
     """
-    diff = targets[:, None, :] - donors[None, :, :]
-    sq = np.einsum("ikd,ikd->ik", diff, diff)
-    z = -gamma * sq
-    z -= z.max(axis=1, keepdims=True)
     tiny = np.finfo(np.float64).tiny
-    e = np.exp(z, out=np.zeros_like(z), where=z >= np.log(tiny))
-    att = e / e.sum(axis=1, keepdims=True)
-    att[att < tiny] = 0.0
+    z = np.multiply(sq, -gamma, out=sq)
+    z -= z.max(axis=-1, keepdims=True)
+    keep = z >= np.log(tiny)
+    z *= keep
+    att = np.exp(z, out=z)
+    att *= keep
+    att /= att.sum(axis=-1, keepdims=True)
+    att *= att >= tiny
     return att
 
 
-def build_replaced(
-    bank: PrimitiveBank, donor_map: dict[int, list[int]], gamma: float, classes=None
-) -> ReplacedBank:
-    """Attention-replace every class in the bank, or only the registered
-    `classes`, per its donor list; the result follows bank order.
-    """
-    if not gamma > 0.0:
-        raise InvalidInput("gamma must be positive")
-    cnum, npr, d = bank.Z.shape
-    flat = bank.Z.reshape(cnum * npr, d)
-    start = {c: i * npr for i, c in enumerate(bank.class_ids)}
-    targets = list(bank.class_ids) if classes is None else sorted(int(c) for c in classes)
-    unknown = [c for c in targets if c not in start]
-    if unknown:
-        raise InvalidInput(f"classes not registered: {unknown}")
-    z_hat = np.empty((len(targets), npr, d))
-    atts: list[np.ndarray] = []
-    donor_rows: list[np.ndarray] = []
-    for j, c in enumerate(targets):
+def _donor_blocks(bank: PrimitiveBank, donor_map, targets) -> list[np.ndarray]:
+    """Each target's donor block positions, ascending; checks every list."""
+    out = []
+    for c in targets:
         donors = donor_map.get(c)
         if not donors:
             raise InvalidInput(f"class {c} has no donors")
@@ -265,17 +342,49 @@ def build_replaced(
             raise InvalidInput(f"class {c} cannot donate to itself")
         if len(set(donors)) != len(donors):
             raise InvalidInput(f"class {c} has duplicate donors")
-        unknown = [dc for dc in donors if dc not in start]
-        if unknown:
-            raise InvalidInput(f"donor classes not registered: {sorted(unknown)}")
-        idx = np.concatenate(
-            [np.arange(start[dc], start[dc] + npr) for dc in sorted(donors)]
-        )
-        att = _attention_weights(flat[start[c] : start[c] + npr], flat[idx], gamma)
-        z_hat[j] = att @ flat[idx]
-        atts.append(att)
-        donor_rows.append(idx)
-    return ReplacedBank(targets, z_hat, atts, donor_rows)
+        out.append(_positions(bank.class_ids, sorted(donors), "donor classes"))
+    return out
+
+
+def build_replaced(
+    bank: PrimitiveBank, donor_map: dict[int, list[int]], gamma: float, classes=None
+) -> ReplacedBank:
+    """Attention-replace every class in the bank, or only the registered
+    `classes`, per its donor list; the result follows bank order.
+
+    Classes with equal donor counts are replaced in one stacked pass:
+    chunked squared distances (a table formed once and mirrored where the
+    classes donate to each other), one (G, N, M) softmax and one stacked
+    product, each class's arithmetic the same as alone.
+    """
+    if not gamma > 0.0:
+        raise InvalidInput("gamma must be positive")
+    cnum, npr, d = bank.Z.shape
+    flat = bank.Z.reshape(cnum * npr, d)
+    targets = list(bank.class_ids) if classes is None else sorted(int(c) for c in classes)
+    blocks = _positions(bank.class_ids, targets, "classes")
+    donor_blocks = _donor_blocks(bank, donor_map, targets)
+    counts = np.array([len(b) for b in donor_blocks], dtype=np.int64)
+    z_hat = np.empty((len(targets), npr, d))
+    atts: list[np.ndarray] = [None] * len(targets)
+    donor_rows: list[np.ndarray] = [None] * len(targets)
+    groups = []
+    rows = np.arange(npr)
+    for m in np.unique(counts):  # one pass per donor count
+        at = np.flatnonzero(counts == m)
+        tblocks = blocks[at]
+        dblocks = np.stack([donor_blocks[j] for j in at])
+        g = len(at)
+        mutual = m == g - 1 and np.array_equal(dblocks, _others(tblocks))
+        idx = (dblocks[:, :, None] * npr + rows).reshape(g, m * npr)
+        donors = flat[idx[:1]] if (dblocks == dblocks[0]).all() else flat[idx]
+        pts = flat[(tblocks[:, None] * npr + rows).ravel()]
+        att = _attention_weights(_group_distances(pts, donors, npr, mutual), gamma)
+        z_hat[at] = att @ donors
+        groups.append(DonorGroup(at, tblocks, att, idx, donors))
+        for k, j in enumerate(at):
+            atts[j], donor_rows[j] = att[k], idx[k]
+    return ReplacedBank(targets, z_hat, atts, donor_rows, groups)
 
 
 def hard_nearest_replace(

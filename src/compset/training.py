@@ -305,8 +305,8 @@ def load_checkpoint(directory) -> ModelState:
     check_json(doc, CHECKPOINT_SCHEMA, spath)
     hp = Hyperparams(**json_fields(Hyperparams, require_key(doc, "hyperparams", spath), spath))
     hp.validate()
-    Z = read_tensor(root / "bank.ckat").astype(np.float64)
-    W = read_tensor(root / "weights.ckat").astype(np.float64)
+    Z = read_tensor(root / "bank.ckat").astype(np.float64, copy=False)
+    W = read_tensor(root / "weights.ckat").astype(np.float64, copy=False)
     if Z.ndim != 3 or Z.shape[1] != hp.n_primitives:
         raise InvalidInput(f"{root}: bank.ckat has shape {Z.shape}, want (C, {hp.n_primitives}, d)")
     if W.ndim != 2 or W.shape[1] != Z.shape[2]:

@@ -177,6 +177,18 @@ class TestCorruption:
     def test_payload_missing_entirely(self, tmp_path):
         self._expect(tmp_path, _valid_bytes()[:24], TruncatedPayload)
 
+    def test_header_promising_more_than_the_file_holds(self, tmp_path):
+        # 8 * (2**32 - 1)**3 bytes: checked against the file size, never allocated
+        raw = b"CKAT" + struct.pack("<III", 1, 2, 3) + struct.pack("<III", *(3 * [2**32 - 1]))
+        self._expect(tmp_path, raw + bytes(64), TruncatedPayload)
+
+    def test_read_is_writable_and_owns_its_memory(self, tmp_path):
+        path = tmp_path / "t.ckat"
+        write_tensor(path, np.arange(6.0).reshape(2, 3))
+        got = read_tensor(path)
+        assert got.flags.writeable and got.flags.owndata and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, np.arange(6.0).reshape(2, 3))
+
     def test_error_message_names_the_file(self, tmp_path):
         path = tmp_path / "named.ckat"
         path.write_bytes(_valid_bytes()[:-1])
@@ -187,14 +199,30 @@ class TestCorruption:
 class TestAtomicWrites:
     @staticmethod
     def fail_part_way(monkeypatch):
-        """Make every file write stop with a full disk after half its bytes."""
-        real = Path.write_bytes
+        """Make every file write stop with a full disk after half the bytes
+        of its first write."""
+        real_open = Path.open
 
-        def half_then_fail(self, data):
-            real(self, data[: len(data) // 2])
-            raise OSError(28, "No space left on device")
+        class HalfThenFail:
+            def __init__(self, f):
+                self.f = f
 
-        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                data = memoryview(data.encode() if isinstance(data, str) else data).cast("B")
+                self.f.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        def opened(self, mode="r", *args, **kwargs):
+            f = real_open(self, mode, *args, **kwargs)
+            return HalfThenFail(f) if "w" in mode else f
+
+        monkeypatch.setattr(Path, "open", opened)
 
     def test_failed_tensor_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "t.ckat"

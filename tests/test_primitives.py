@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,12 @@ from util import (
     hard_nearest_replace_oracle,
     kmeans_centers_oracle,
     replaced_block_oracle,
+    replacement_cases,
+    replacement_mismatches,
+    squared_distances_oracle,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def replace_one(bank, class_id, donors, gamma):
@@ -333,8 +343,9 @@ class TestSubnormalFlush:
         assert rb.Z_hat.tobytes() == rb_plain.Z_hat.tobytes()
         g = np.random.default_rng(seed).standard_normal(rb.Z_hat.shape)
         for stop in (False, True):
-            got = _replacement_backward(bank, rb, g, 64.0, stop)
-            assert got.tobytes() == _replacement_backward(bank, rb_plain, g, 64.0, stop).tobytes()
+            got = _replacement_backward(bank, rb, g, 64.0, stop, ~bank.frozen)
+            want = _replacement_backward(bank, rb_plain, g, 64.0, stop, ~bank.frozen)
+            assert got.tobytes() == want.tobytes()
 
     def test_weight_that_normalises_below_tiny_is_flushed(self):
         # exp of the far donor's logit is just above TINY, so it is computed;
@@ -343,7 +354,7 @@ class TestSubnormalFlush:
         z[1, 2, 0] = np.sqrt(-np.log(self.TINY) - 0.1)
         bank = PrimitiveBank([0, 1], z, np.zeros(2, dtype=bool))
         _, att = replace_one(bank, 0, [1], 1.0)
-        plain = attention_weights_unflushed(z[0], z[1], 1.0)
+        plain = attention_weights_unflushed(squared_distances_oracle(z[0], z[1]), 1.0)
         assert 0.0 < plain[0, 2] < self.TINY
         np.testing.assert_array_equal(att[:, :2], plain[:, :2])
         assert (att[:, 2] == 0.0).all()
@@ -353,12 +364,116 @@ class TestSubnormalFlush:
         # terms; flushed, its gradient is 0 instead of a few times TINY
         bank, rb, rb_plain = self.replaced_both_ways(monkeypatch, 1.0, 2)
         g = np.random.default_rng(2).standard_normal(rb.Z_hat.shape)
-        got = _replacement_backward(bank, rb, g, 64.0, False)
-        want = _replacement_backward(bank, rb_plain, g, 64.0, False)
+        got = _replacement_backward(bank, rb, g, 64.0, False, ~bank.frozen)
+        want = _replacement_backward(bank, rb_plain, g, 64.0, False, ~bank.frozen)
         moved = got != want
         assert moved.any()
         assert (got[moved] == 0.0).all()
         assert np.abs(want[moved]).max() < 8 * self.TINY
+
+
+# Runs the oracle comparison and a one-epoch default pipeline, stacked and
+# per class, in a fresh interpreter whose BLAS thread count is fixed.
+THREAD_SCRIPT = """
+import hashlib, json
+from compset import Hyperparams, SynthConfig, losses, synth_generate
+from compset.protocol import run_sessions
+import util
+
+def digest(state):
+    h = hashlib.sha256()
+    for a in (state.bank.Z, state.weights.W):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+bad = {
+    f"{name} stop={stop}": util.replacement_mismatches(*case, stop)
+    for name, case in util.replacement_cases().items()
+    for stop in (False, True)
+}
+ds = synth_generate(SynthConfig(seed=0))
+hp = Hyperparams(seed=0, base_epochs=1, inc_epochs=1)
+stacked = digest(run_sessions(ds, hp))
+losses.build_replaced = util.build_replaced_per_class
+losses._replacement_backward = util.replacement_backward_per_class
+per_class = digest(run_sessions(ds, hp))
+print(json.dumps({"mismatches": {k: v for k, v in bad.items() if v}, "stacked": stacked,
+                  "per_class": per_class}))
+"""
+
+
+class TestStackedReplacement:
+    """build_replaced and _replacement_backward equal the per-class loops
+    they replaced in every byte: Z_hat, each attention matrix, the donor
+    rows and the gradient."""
+
+    @pytest.mark.parametrize("stop", [False, True], ids=["attention-grad", "stopped"])
+    @pytest.mark.parametrize("name", sorted(replacement_cases()))
+    def test_bytes_equal_the_per_class_loops(self, name, stop):
+        assert replacement_mismatches(*replacement_cases()[name], stop) == []
+
+    def test_signed_zeros_sum_as_in_the_loop(self):
+        # with no upstream gradient a lone live class's own-block terms are
+        # -0.0 where its primitives are positive; the loop adds them to +0.0
+        bank, donor_map, classes, trainable, gamma = replacement_cases()["incremental"]
+        rb = build_replaced(bank, donor_map, gamma, classes[:1])
+        got = _replacement_backward(bank, rb, np.zeros(rb.Z_hat.shape), gamma, False, trainable)
+        assert got.tobytes() == np.zeros_like(got).tobytes()
+
+    def test_groups_stack_classes_by_donor_count(self):
+        bank, donor_map, classes, _, gamma = replacement_cases()["fixed-columns-19-and-20"]
+        rb = build_replaced(bank, donor_map, gamma, classes)
+        assert [grp.attention.shape for grp in rb.groups] == [(20, 16, 19 * 16), (5, 16, 20 * 16)]
+        for grp in rb.groups:
+            assert grp.attention.flags.c_contiguous
+            for k, j in enumerate(grp.positions):
+                assert np.shares_memory(rb.attention[j], grp.attention[k])
+        assert [len(grp.donors) for grp in rb.groups] == [20, 1]  # novel classes share donors
+
+    def test_mutual_donors_take_the_mirrored_table(self, monkeypatch):
+        calls = []
+        inner = primitives._mutual_distances
+
+        def counted(pts, npr):
+            calls.append(pts.shape)
+            return inner(pts, npr)
+
+        monkeypatch.setattr(primitives, "_mutual_distances", counted)
+        for name in ("base-sigma0.1", "fixed-columns-19-and-20", "incremental", "custom-unequal"):
+            bank, donor_map, classes, _, gamma = replacement_cases()[name]
+            build_replaced(bank, donor_map, gamma, classes)
+        assert calls == [(320, 32), (320, 32)]
+
+    @pytest.mark.parametrize("name", ["wide-base", "wide-incremental", "base-sigma0.1"])
+    def test_difference_chunks_keep_to_their_byte_size(self, monkeypatch, name):
+        chunks = []
+        inner = primitives._squares
+
+        def recorded(diff):
+            chunks.append(diff.shape)
+            return inner(diff)
+
+        monkeypatch.setattr(primitives, "_squares", recorded)
+        bank, donor_map, classes, _, gamma = replacement_cases()[name]
+        build_replaced(bank, donor_map, gamma, classes)
+        assert chunks
+        for rows, cols, d in chunks:
+            assert rows == 1 or rows * cols * d * 8 <= primitives._CHUNK_BYTES
+        if name.startswith("wide"):  # d = 512: a chunk holds one or two rows
+            assert max(rows for rows, _, _ in chunks[:4]) <= 2
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_equal_at_each_blas_thread_count(self, threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO / "tests")])
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_SCRIPT], env=env, capture_output=True, text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["mismatches"] == {}
+        assert got["stacked"] == got["per_class"]
 
 
 class TestHardNearestReplace:

@@ -9,10 +9,14 @@ The two nearest-row references are k-means and hard replacement as
 brute-force searches: the full (P, k, d) broadcast and a loop over picks.
 The attention and evaluation references keep the arithmetic the package
 had before subnormal weights were flushed and before the confusion counts
-came from one bincount.  `center_rows`, `central_diff_grad` and
-`match_weights` were public package functions with no caller outside the
-tests; the reuse reference scores every bank in its own kernel pass, as
-the package did before its table of row contributions.
+came from one bincount.  The replacement references are build_replaced
+and _replacement_backward as loops over classes, one (N, M, d) difference
+tensor, softmax and set of products per class, as the package computed
+them before its stacked pass; that pass must equal them byte for byte.
+`center_rows`, `central_diff_grad` and `match_weights` were public
+package functions with no caller outside the tests; the reuse reference
+scores every bank in its own kernel pass, as the package did before its
+table of row contributions.
 """
 
 import numpy as np
@@ -26,6 +30,7 @@ from compset import (
     NumericalFailure,
     Grads,
     PrimitiveBank,
+    ReplacedBank,
     build_replaced,
     composition_scores_stack,
     donor_map_for,
@@ -36,7 +41,7 @@ from compset import (
 )
 from compset.cka import _set_matrix, center_stack, gram_frobenius_stack, power_transform_stack
 from compset.losses import _ce_rows, _cls_core, _replacement_backward
-from compset.numkit import _positions, softmax_rows
+from compset.numkit import _positions
 from compset.protocol import EvalReport, SessionEval, performance_drop, score_matrix
 from compset.seeding import seed_sequence, substream
 from compset.training import _mean_feature_rows
@@ -243,12 +248,140 @@ def attention_oracle(p_row: np.ndarray, donors: np.ndarray, gamma: float) -> np.
     return e / e.sum()
 
 
-def attention_weights_unflushed(targets: np.ndarray, donors: np.ndarray, gamma: float) -> np.ndarray:
-    """primitives._attention_weights without the subnormal flush: a plain
-    row softmax of -gamma times the squared distances."""
+def squared_distances_oracle(targets: np.ndarray, donors: np.ndarray) -> np.ndarray:
+    """(N, M) squared distances of one class's rows to its donor rows, from
+    the whole (N, M, d) difference tensor."""
     diff = targets[:, None, :] - donors[None, :, :]
-    sq = np.einsum("ikd,ikd->ik", diff, diff)
-    return softmax_rows(-gamma * sq)
+    return np.einsum("ikd,ikd->ik", diff, diff)
+
+
+def attention_weights_unflushed(sq: np.ndarray, gamma: float) -> np.ndarray:
+    """primitives._attention_weights without the subnormal flush: a plain
+    softmax of -gamma times the squared distances over the last axis."""
+    z = -gamma * sq
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention_weights_per_class(targets: np.ndarray, donors: np.ndarray, gamma: float) -> np.ndarray:
+    """One class's flushed attention, as the package computed it one class
+    at a time before the stacked pass."""
+    z = -gamma * squared_distances_oracle(targets, donors)
+    z -= z.max(axis=1, keepdims=True)
+    tiny = np.finfo(np.float64).tiny
+    e = np.exp(z, out=np.zeros_like(z), where=z >= np.log(tiny))
+    att = e / e.sum(axis=1, keepdims=True)
+    att[att < tiny] = 0.0
+    return att
+
+
+def build_replaced_per_class(bank, donor_map, gamma: float, classes=None) -> ReplacedBank:
+    """build_replaced as a loop over classes, each with its own (N, M, d)
+    difference tensor, softmax and product; the stacked pass must equal it
+    byte for byte.  The result has no donor groups."""
+    cnum, npr, d = bank.Z.shape
+    flat = bank.Z.reshape(cnum * npr, d)
+    start = {c: i * npr for i, c in enumerate(bank.class_ids)}
+    targets = list(bank.class_ids) if classes is None else sorted(int(c) for c in classes)
+    z_hat = np.empty((len(targets), npr, d))
+    atts, donor_rows = [], []
+    for j, c in enumerate(targets):
+        idx = np.concatenate(
+            [np.arange(start[dc], start[dc] + npr) for dc in sorted(donor_map[c])]
+        )
+        att = attention_weights_per_class(flat[start[c] : start[c] + npr], flat[idx], gamma)
+        z_hat[j] = att @ flat[idx]
+        atts.append(att)
+        donor_rows.append(idx)
+    return ReplacedBank(targets, z_hat, atts, donor_rows, [])
+
+
+def replacement_backward_per_class(bank, rb, dZhat, gamma, stop_attention_grad, trainable):
+    """losses._replacement_backward as a loop over the classes of rb, each
+    adding its own-block and donor gradients into one buffer in class
+    order; masked blocks are zeroed at the end."""
+    cnum, npr, d = bank.Z.shape
+    dZ = np.zeros((cnum, npr, d))
+    flatZ = bank.Z.reshape(cnum * npr, d)
+    flat_out = dZ.reshape(cnum * npr, d)
+    pos = {c: i for i, c in enumerate(bank.class_ids)}
+    for j, c in enumerate(rb.class_ids):
+        i = pos[c]
+        att = rb.attention[j]  # (N, M)
+        idx = rb.donor_rows[j]  # (M,)
+        donors = flatZ[idx]
+        g = dZhat[j]  # (N, d)
+        contrib = att.T @ g
+        if not stop_attention_grad:
+            u = g @ donors.T  # (N, M): dL/d att
+            ubar = (att * u).sum(axis=1, keepdims=True)
+            ds = gamma * att * (u - ubar)  # dL/d s_r, softmax jacobian folded in
+            rs = ds.sum(axis=1)
+            dZ[i] += -2.0 * (rs[:, None] * bank.Z[i] - ds @ donors)
+            contrib = contrib + 2.0 * (ds.T @ bank.Z[i] - ds.sum(axis=0)[:, None] * donors)
+        flat_out[idx] += contrib  # donor rows are unique per class
+    dZ[~np.asarray(trainable, dtype=bool)] = 0.0
+    return dZ
+
+
+def replacement_cases():
+    """name -> (bank, donor_map, classes, trainable, gamma): the shapes at
+    which the stacked replacement must equal the per-class oracles."""
+    def bank_of(n_classes, n_primitives, d, seed, sigma, frozen=0):
+        z = sigma * np.random.default_rng(seed).standard_normal((n_classes, n_primitives, d))
+        return PrimitiveBank(list(range(n_classes)), z, np.arange(n_classes) < frozen)
+
+    def base_donors(n_base, n_classes):
+        return {c: [b for b in range(n_base) if b != c] for c in range(n_classes)}
+
+    cases = {}
+    for sigma in (0.1, 0.3):
+        bank = bank_of(20, 16, 32, 0, sigma)
+        cases[f"base-sigma{sigma}"] = (bank, base_donors(20, 20), None, ~bank.frozen, 64.0)
+    bank = bank_of(25, 16, 32, 1, 0.1, frozen=20)
+    cases["incremental"] = (bank, base_donors(20, 25), list(range(20, 25)), ~bank.frozen, 64.0)
+    cases["incremental-trainable-donors"] = (
+        bank, base_donors(20, 25), list(range(20, 25)), np.ones(25, dtype=bool), 64.0
+    )
+    bank = bank_of(30, 16, 32, 2, 0.1, frozen=25)
+    cases["fixed-columns-19-and-20"] = (bank, base_donors(20, 30), list(range(25)), ~bank.frozen, 64.0)
+    custom = {0: [3, 1], 1: [0], 2: [0, 1, 4], 3: [2, 4, 0], 4: [1], 5: [0, 2]}
+    bank = bank_of(6, 4, 7, 3, 1.0)
+    cases["custom-unequal"] = (bank, custom, None, ~bank.frozen, 2.0)
+    cases["custom-masked"] = (bank, custom, None, np.array([1, 0, 1, 0, 1, 1], dtype=bool), 2.0)
+    bank = bank_of(8, 16, 512, 4, 0.05)
+    cases["wide-base"] = (bank, base_donors(8, 8), None, ~bank.frozen, 64.0)
+    bank = bank_of(21, 16, 512, 5, 0.05, frozen=16)
+    cases["wide-incremental"] = (bank, base_donors(16, 21), list(range(16, 21)), ~bank.frozen, 64.0)
+    bank = bank_of(20, 16, 32, 6, 0.1)
+    cases["no-classes"] = (bank, base_donors(20, 20), [], ~bank.frozen, 64.0)
+    return cases
+
+
+def replacement_mismatches(bank, donor_map, classes, trainable, gamma, stop_attention_grad):
+    """Outputs in which build_replaced and _replacement_backward differ
+    from the per-class oracles in any byte; empty when they agree."""
+    rb = build_replaced(bank, donor_map, gamma, classes)
+    want = build_replaced_per_class(bank, donor_map, gamma, classes)
+    bad = []
+    if rb.class_ids != want.class_ids or rb.Z_hat.tobytes() != want.Z_hat.tobytes():
+        bad.append("Z_hat")
+    if len(rb.attention) != len(want.attention) or any(
+        a.tobytes() != b.tobytes() or not a.flags.c_contiguous
+        for a, b in zip(rb.attention, want.attention)
+    ):
+        bad.append("attention")
+    if len(rb.donor_rows) != len(want.donor_rows) or any(
+        not np.array_equal(a, b) for a, b in zip(rb.donor_rows, want.donor_rows)
+    ):
+        bad.append("donor_rows")
+    g = np.random.default_rng(len(rb.class_ids)).standard_normal(rb.Z_hat.shape)
+    got = _replacement_backward(bank, rb, g, gamma, stop_attention_grad, trainable)
+    ref = replacement_backward_per_class(bank, want, g, gamma, stop_attention_grad, trainable)
+    if got.tobytes() != ref.tobytes():
+        bad.append("dZ")
+    return bad
 
 
 def replaced_block_oracle(block: np.ndarray, donors: np.ndarray, gamma: float) -> np.ndarray:
@@ -335,10 +468,12 @@ def total_loss_and_grad_unsplit(
         total += hp.lambda1 * loss
         dZ += hp.lambda1 * g
     if hp.lambda2 != 0.0:
-        rb = build_replaced(bank, donor_map, hp.gamma)
+        rb = build_replaced_per_class(bank, donor_map, hp.gamma)
         loss, g = head(rb.Z_hat)
         total += hp.lambda2 * loss
-        dZ += hp.lambda2 * _replacement_backward(bank, rb, g, hp.gamma, hp.stop_attention_grad)
+        dZ += hp.lambda2 * replacement_backward_per_class(
+            bank, rb, g, hp.gamma, hp.stop_attention_grad, np.ones(bank.n_classes, dtype=bool)
+        )
     dW[~tw] = 0.0
     dZ[~tz] = 0.0
     return total, Grads(dW=dW, dZ=dZ)
