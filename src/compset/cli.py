@@ -3,9 +3,9 @@
 Subcommands: gen, train-base, train-inc, eval, sweep, importance,
 reuse-eval, compare-reps.  Exit codes: 0 success, 1 usage error,
 2 data or validation error.  Every run emits a JSON provenance record
-(config, seed, versions) into --out, or to stderr when a command has no
-output directory; the timestamp inside it is the only non-reproducible
-output byte.
+(config, seed, versions, and the BLAS library with its thread count) into
+--out, or to stderr when a command has no output directory; the timestamp
+inside it is the only non-reproducible output byte.
 
 Config precedence: built-in defaults < --preset < --config file <
 explicit flags.  When --data is omitted, the COMPSET_DATA_DIR environment
@@ -120,6 +120,33 @@ def _build_config(args) -> tuple[Hyperparams, SynthConfig]:
     return hp, synth
 
 
+def _blas_threads() -> int | None:
+    """Thread count the OpenBLAS bundled with numpy reports, or None when
+    it cannot be asked."""
+    import ctypes
+
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("lib*openblas*.so*")):
+        handle = ctypes.CDLL(str(lib))
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+
+def _blas() -> dict:
+    """The BLAS numpy was built against, and its thread count: training's
+    bytes can depend on that count."""
+    try:
+        info = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before show_config(mode=...)
+        info = {}
+    return {"name": info.get("name"), "version": info.get("version"), "threads": _blas_threads()}
+
+
 def _provenance(command: str, args, hp: Hyperparams | None, synth: SynthConfig | None, outdir: Path | None):
     doc = {
         "command": command,
@@ -133,6 +160,7 @@ def _provenance(command: str, args, hp: Hyperparams | None, synth: SynthConfig |
             "compset": __version__,
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
+            "blas": _blas(),
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

@@ -23,7 +23,9 @@ fixed columns once with `fixed_columns` and hands them back in.
 
 A loss call power-transforms and centres its batch once (`prepare_maps`)
 and both composition heads score that; `FixedColumns` keeps the prepared
-batch, so an incremental session prepares its shots once.
+batch, so an incremental session prepares its shots once, and a base fit
+its whole training set once: `FixedColumns.rows` hands each minibatch
+its rows of the prepared stack.
 
 The replaced term's backward takes one stacked pass per donor group of
 `build_replaced`, with no loop over classes.  Each block sums what the
@@ -34,7 +36,7 @@ are frozen base blocks), the donor-side terms are skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -285,10 +287,11 @@ def _donor_lists(donor_map) -> dict:
 class FixedColumns:
     """Scores of one batch's fixed columns under one trainable mask.
 
-    Made by `fixed_columns` and handed to `total_loss_and_grad`, which
-    checks that the batch, registry, mask, frozen blocks, donors, alpha and
-    gamma are still the ones recorded here, and then scores the live
-    columns of the batch prepared here.
+    Made by `fixed_columns` (or cut to rows of its batch by `rows`) and
+    handed to `total_loss_and_grad`, which checks that the batch,
+    registry, mask, frozen blocks, donors, alpha and gamma are still the
+    ones recorded here, and then scores the live columns of the batch
+    prepared here.
     """
 
     live_rcmp: np.ndarray  # (C,) bool: replaced-head columns that can move
@@ -302,6 +305,24 @@ class FixedColumns:
     donor_map: dict[int, tuple[int, ...]]
     alpha: float
     gamma: float
+
+    def rows(self, idx) -> "FixedColumns":
+        """The same columns for the batch's rows idx, e.g. one minibatch.
+
+        Prepared maps and their a are row-independent, so the slice holds
+        the bytes that preparing those rows would give.  The fixed scores
+        are the whole batch's rows; scored apart, a batch of other length
+        can round them differently in the last bits.  A base fit's are
+        empty: every column there is live.
+        """
+        idx = np.asarray(idx)
+        return replace(
+            self,
+            cmp=None if self.cmp is None else self.cmp[idx],
+            rcmp=None if self.rcmp is None else self.rcmp[idx],
+            maps=self.maps[idx],
+            prepared=PreparedMaps(self.prepared.Xc[idx], self.prepared.a[idx], self.prepared.alpha),
+        )
 
     def matches(self, X3, bank: PrimitiveBank, donor_map, hp: Hyperparams, tz) -> bool:
         return (
@@ -346,12 +367,15 @@ def fixed_columns(
     hp: Hyperparams,
     trainable_z: np.ndarray | None = None,
 ) -> FixedColumns:
-    """Score the fixed columns of a batch once, for every total_loss_and_grad
-    call on the same batch, bank, donors, settings and trainable_z.
+    """Prepare a batch's maps and score its fixed columns once, for every
+    total_loss_and_grad call on the same batch (or, through
+    `FixedColumns.rows`, on rows of it), bank, donors, settings and
+    trainable_z.
 
     Within an incremental session they cannot change: their blocks are
     frozen, their donors are frozen base classes and every epoch uses the
-    same shots.
+    same shots.  A base fit has no fixed column; it prepares its training
+    set here once for all its minibatches.
     """
     hp.validate()
     X3, _ = _checked_maps(batch, bank)

@@ -8,6 +8,13 @@ Kernels whose temporaries grow with their inputs work in blocks of rows,
 each block's largest temporary held to ``_BLOCK_BYTES``: the scoring
 product and the map Grams of :mod:`compset.cka` and the distance table
 of :func:`_nearest_rows`.
+
+Exact searches over squared distances take them in the GEMM form first
+and recompute only the near-ties as the plain squared difference.
+:func:`_gemm_slack` is the one rounding bound between the two forms; it
+serves :func:`_nearest_rows` (the Lloyd assignment of k-means, the hard
+replacement and the retrieval export) and the farthest-point seeding of
+:mod:`compset.primitives`.
 """
 
 from __future__ import annotations
@@ -66,41 +73,49 @@ def _positions(ids, values, what: str) -> np.ndarray:
     return pos
 
 
-def _nearest_rows(Q: np.ndarray, P: np.ndarray, skip: np.ndarray | None = None):
+def _gemm_slack(d: int, s):
+    """Bound on |g - r| for rows q, p of length d with s = ||q||^2 + ||p||^2,
+    where g = ||q||^2 + ||p||^2 - 2 q.p is the GEMM-form squared distance
+    (norms and product each computed in any summation order) and r =
+    ((q - p)**2).sum() the plain one.
+
+    Let u = eps/2 and delta = ||q - p||^2 <= 2s.  Every inner product of
+    length d is within gamma_d = d u / (1 - d u) of its |terms| sum, so
+    ||q||^2, ||p||^2 and 2 q.p together err by at most 2 gamma_d s, and the
+    two additions by at most 3u s: |g - delta| <= (d + 2) eps s to first
+    order.  r = fl(sum fl(fl(q - p)^2)) has relative error gamma_{d+2}, so
+    |r - delta| <= 2 gamma_{d+2} s, again about (d + 2) eps s.  Hence
+    |g - r| is about 2 (d + 2) eps s at most; the bound returned is twice
+    that.  A non-finite s (or g) bounds nothing: such a row must be
+    resolved by the plain difference.
+    """
+    return 4.0 * (d + 2) * np.finfo(np.float64).eps * s
+
+
+def _nearest_rows(Q: np.ndarray, P: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
     """For every row q of Q, the lowest index j minimising
-    ((q - P[j])**2).sum() over the rows of P not marked in ``skip``, and that
-    minimum: ``(index (nq,) int64, squared distance (nq,) float64)``.
+    ((q - P[j])**2).sum() over the rows of P not marked in ``skip``:
+    (nq,) int64.  A caller that needs the distances computes
+    ((Q - P[idx])**2).sum(axis=1), the same row-wise arithmetic.
 
-    The result is bit-equal to an argmin/min over the whole brute-force
-    table, but that table is never built.  Distances are first taken in
-    the GEMM form g = ||q||^2 + ||p||^2 - 2 q.p (exact L2 search, Johnson
-    et al. 2017, arXiv:1702.08734), one block of Q rows at a time so a
-    block's table holds at most _BLOCK_BYTES.  Every p whose g lies within
-    ``tol`` of the row's smallest g is a candidate; candidates are
-    recomputed as ((q - p)**2).sum(), the brute-force arithmetic, and the
-    smallest recomputed value wins, ties to the lowest index.
-
-    The bound on ``tol``.  Let u = eps/2, d the row length, S = ||q||^2 +
-    ||p||^2 and delta = ||q - p||^2 <= 2S.  Every inner product of length d
-    is within gamma_d = d u / (1 - d u) of its |terms| sum, so ||q||^2,
-    ||p||^2 and 2 q.p together err by at most 2 gamma_d S, and the two
-    additions by at most 3u S: |g - delta| <= (d + 2) eps S to first order.
-    The recomputed r = fl(sum fl(fl(q - p)^2)) has relative error gamma_{d+2},
-    so |r - delta| <= 2 gamma_{d+2} S, again about (d + 2) eps S.  Hence
-    |g - r| <= E with E about 2 (d + 2) eps S.  If j* is the brute-force
-    winner and m the smallest g, attained at j', then g[j*] <= r[j*] + E <=
-    r[j'] + E <= m + 2E: j* is a candidate whenever tol >= 2E.  The code
-    uses tol = 8 (d + 2) eps (||q||^2 + max_p ||p||^2), twice 2E with S at
-    its largest.  A row whose g overflows gets an infinite or NaN
-    threshold and searches every row of P.
+    The result is bit-equal to an argmin over the whole brute-force table,
+    but that table is never built.  Distances are first taken in the GEMM
+    form g = ||q||^2 + ||p||^2 - 2 q.p (exact L2 search, Johnson et al.
+    2017, arXiv:1702.08734), one block of Q rows at a time so a block's
+    table holds at most _BLOCK_BYTES.  With E = _gemm_slack at s's largest,
+    ||q||^2 + max_p ||p||^2, every p whose g lies within 2E of the row's
+    smallest g, m, is a candidate, and so is the brute-force winner j*:
+    g[j*] <= r[j*] + E <= r[argmin g] + E <= m + 2E.  A row with one
+    candidate is decided; only rows with several (or a non-finite
+    threshold, which searches every row of P) are recomputed as
+    ((q - p)**2).sum(), the brute-force arithmetic, where the smallest
+    value wins, ties to the lowest index.
 
     Every row of Q needs at least one row of P that ``skip`` leaves in.
     """
     nq, d = Q.shape
     pn = np.einsum("ij,ij->i", P, P)
     idx = np.empty(nq, dtype=np.int64)
-    dist = np.empty(nq)
-    rel = 8.0 * (d + 2) * np.finfo(np.float64).eps
     step, recompute = _row_step(8 * len(P)), _row_step(8 * d)
     for lo in range(0, nq, step):
         q = Q[lo : lo + step]
@@ -112,21 +127,28 @@ def _nearest_rows(Q: np.ndarray, P: np.ndarray, skip: np.ndarray | None = None):
             g += pn
             if skip is not None:
                 g[:, skip] = np.inf
-            thr = g.min(axis=1) + rel * (qn + pn.max())
+            best = g.argmin(axis=1)
+            thr = g[np.arange(len(q)), best] + 2.0 * _gemm_slack(d, qn + pn.max())
             cand = g <= thr[:, None]
-        cand[~np.isfinite(thr)] = True
+        idx[lo : lo + len(q)] = best
+        wide = ~np.isfinite(thr)
+        open_ = np.flatnonzero(wide | (np.count_nonzero(cand, axis=1) > 1))
+        if not len(open_):
+            continue
+        cand = cand[open_]
+        cand[wide[open_]] = True
         if skip is not None:
             cand[:, skip] = False
         rows, cols = np.nonzero(cand)  # row-major: columns ascend within a row
         r = np.empty(len(rows))
+        qo = q[open_]
         with np.errstate(over="ignore"):
             for s in range(0, len(rows), recompute):
                 t = slice(s, s + recompute)
-                r[t] = ((q[rows[t]] - P[cols[t]]) ** 2).sum(axis=1)
+                r[t] = ((qo[rows[t]] - P[cols[t]]) ** 2).sum(axis=1)
         starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        best = np.minimum.reduceat(r, starts)
-        hit = np.flatnonzero(r == best[rows])
+        least = np.minimum.reduceat(r, starts)
+        hit = np.flatnonzero(r == least[rows])
         first = hit[np.r_[True, rows[hit[1:]] != rows[hit[:-1]]]]
-        idx[lo : lo + len(q)] = cols[first]
-        dist[lo : lo + len(q)] = best
-    return idx, dist
+        idx[lo + open_] = cols[first]
+    return idx

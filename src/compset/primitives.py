@@ -18,9 +18,14 @@ bytes of a loop over classes.
 
 Both nearest-row searches here, the Lloyd assignment of k-means init and
 the hard replacement, go through ``numkit._nearest_rows``: GEMM-form
-distances over blocks of query rows under a byte budget, with each row's
-near-minimal candidates recomputed as the plain squared difference, so
-argmins, lowest-index ties and copied bytes equal a brute-force search.
+distances over blocks of query rows under a byte budget, and only rows
+left with several near-minimal candidates recomputed as the plain
+squared difference, so argmins, lowest-index ties and copied bytes equal
+a brute-force search.  k-means init also sorts its pool with one stable
+argsort on the first column (later columns only order tied runs) and
+seeds it with one matrix-vector product per seed, whose rounding bound
+(``numkit._gemm_slack``) brackets each point's running minimum; only
+points that could be the farthest are recomputed exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateInput, InsufficientData, InvalidInput
-from .numkit import _nearest_rows, _positions, as_matrix
+from .numkit import _gemm_slack, _nearest_rows, _positions, as_matrix
 from .seeding import substream
 
 
@@ -76,43 +81,105 @@ class PrimitiveBank:
         return PrimitiveBank(list(self.class_ids), self.Z.copy(), self.frozen.copy())
 
 
+def _row_order(pts: np.ndarray) -> np.ndarray:
+    """The stable lexicographic row order np.lexsort(pts.T[::-1]) gives,
+    from one stable argsort on the first column: only rows tied on every
+    column so far are ordered by the next one, run by run."""
+    order = np.argsort(pts[:, 0], kind="stable")
+    col = pts[order, 0]
+    tied = np.flatnonzero(col[1:] == col[:-1])  # position i ties with i + 1
+    for j in range(1, pts.shape[1]):
+        if not len(tied):
+            break
+        at = np.union1d(tied, tied + 1)  # positions in runs, ascending
+        run = np.cumsum(~np.isin(at - 1, tied))  # a run starts where no tie links back
+        sub = order[at]
+        order[at] = sub[np.lexsort((pts[sub, j], run))]
+        col = pts[order, j]
+        tied = tied[col[tied + 1] == col[tied]]
+    return order
+
+
+def _farthest_seeds(pts: np.ndarray, first: int, k: int) -> list[int]:
+    """Farthest-point seeding from pts[first]: each next seed maximises the
+    running minimum of ((p - seed)**2).sum() over the seeds so far, ties to
+    the lowest index.
+
+    Each seed costs one matrix-vector product: its GEMM-form distances,
+    widened by numkit._gemm_slack, bound every point's running minimum
+    from below and above.  Only points whose upper bound reaches the
+    largest lower bound can be the argmax; their minimum is recomputed as
+    the plain squared difference against every seed, so the picks equal a
+    search that keeps the exact minimum.  A bound that is not finite
+    (overflowing squares) leaves the point to that recomputation.
+    """
+    npts, d = pts.shape
+    pn = np.einsum("ij,ij->i", pts, pts)
+    lo, hi = np.full(npts, np.inf), np.full(npts, np.inf)
+    chosen = [first]
+    while len(chosen) < k:
+        c = chosen[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = pts @ pts[c]
+            g *= -2.0
+            g += pn
+            g += pn[c]
+            e = _gemm_slack(d, pn + pn[c])
+            below, above = g - e, g + e
+        loose = ~(np.isfinite(below) & np.isfinite(above))
+        below[loose], above[loose] = -np.inf, np.inf
+        np.minimum(lo, below, out=lo)
+        np.minimum(hi, above, out=hi)
+        cand = np.flatnonzero(hi >= lo.max())
+        exact = np.empty(len(cand))
+        seeds = pts[chosen]
+        step = _chunk_rows(len(chosen), d)
+        with np.errstate(over="ignore"):
+            for s in range(0, len(cand), step):
+                diff = pts[cand[s : s + step], None] - seeds
+                exact[s : s + step] = (diff**2).sum(axis=2).min(axis=1)
+        lo[cand] = hi[cand] = exact
+        chosen.append(int(cand[np.argmax(exact)]))
+    return chosen
+
+
 def kmeans_centers(points, k: int, rng: np.random.Generator, iters: int = 100) -> np.ndarray:
     """Deterministic Lloyd clustering of rows.
 
-    The pool is canonicalized by a lexicographic row sort, so the result is
-    invariant to input row order.  Init picks a seeded first center and then
-    greedily the farthest point; ties always resolve to the lowest index.
-    Exactly k distinct points reproduce themselves as centers.
+    The pool is canonicalized by a stable lexicographic row sort, so the
+    result is invariant to input row order.  Init picks a seeded first
+    center and then greedily the farthest point; ties always resolve to the
+    lowest index.  Exactly k distinct points reproduce themselves as
+    centers.  Seeding and assignment search in the GEMM form and settle
+    near-ties with the plain squared difference, so every pick equals a
+    brute-force search's.
     """
     pts = as_matrix(points, "points")
     if k < 1:
         raise InvalidInput("k must be >= 1")
     if pts.shape[0] < k:
         raise InsufficientData(f"{pts.shape[0]} points cannot seed {k} centers")
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    npts = pts.shape[0]
-
-    first = int(rng.integers(npts))
-    chosen = [first]
-    d2 = ((pts - pts[first]) ** 2).sum(axis=1)
-    for _ in range(1, k):
-        nxt = int(np.argmax(d2))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
-    centers = pts[chosen].copy()
+    pts = pts[_row_order(pts)]
+    centers = pts[_farthest_seeds(pts, int(rng.integers(pts.shape[0])), k)]
 
     for _ in range(iters):
-        assign, dmin = _nearest_rows(pts, centers)
+        assign = _nearest_rows(pts, centers)
+        # each cluster's points, in pool order, as one contiguous run
+        grouped = pts[np.argsort(assign, kind="stable")]
+        counts = np.bincount(assign, minlength=k)
+        ends = np.cumsum(counts)
         new = centers.copy()
         taken: set[int] = set()
+        far = None
         for j in range(k):
-            sel = assign == j
-            if sel.any():
-                new[j] = pts[sel].mean(axis=0)
+            if counts[j]:
+                # the sum and division .mean(axis=0) makes, without its wrapper
+                new[j] = grouped[ends[j] - counts[j] : ends[j]].sum(axis=0) / counts[j]
             else:
                 # empty cluster: seize the point farthest from every center
-                far = np.argsort(-dmin)
+                if far is None:
+                    with np.errstate(over="ignore"):
+                        far = np.argsort(-((pts - centers[assign]) ** 2).sum(axis=1))
                 pick = next(int(i) for i in far if int(i) not in taken)
                 taken.add(pick)
                 new[j] = pts[pick]
@@ -418,6 +485,6 @@ def hard_nearest_replace(
         np.sort(substream(seed, "replace", c).choice(bank.n_primitives, size=n_swap, replace=False))
         for c in targets
     ])
-    nearest, _ = _nearest_rows(bank.Z[blocks, picks], pool)
+    nearest = _nearest_rows(bank.Z[blocks, picks], pool)
     out.Z[blocks, picks] = pool[nearest]
     return out

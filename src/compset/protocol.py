@@ -325,8 +325,10 @@ def retrieval_export(state: ModelState, batch: FeatureBatch, top_k: int = 5) -> 
         # difference ||a - b||^2 with ties to the lowest row; the distance
         # table is never larger than one class's rows against all
         own = owner == ci
-        nearest, d2 = _nearest_rows(flat[own], flat, skip=own)
-        dist = np.sqrt(d2)
+        block = flat[own]
+        nearest = _nearest_rows(block, flat, skip=own)
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(((block - flat[nearest]) ** 2).sum(axis=1))
         entries = [
             {"primitive": r, "nearest_class": int(state.bank.class_ids[j // npr]),
              "nearest_primitive": int(j % npr), "distance": float(dist[r])}

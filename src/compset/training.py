@@ -6,6 +6,12 @@ incremental session extends the registries, trains only the new blocks
 return.  Because frozen parameters never move again, the final state
 restricted to the classes of any earlier session is bit-identical to the
 state that existed right after that session.
+
+Every session steps through one SGD loop with its maps prepared
+beforehand (`fixed_columns`): the base session prepares its whole
+training set once and steps each shuffled minibatch with its rows of it
+(`FixedColumns.rows`), an incremental session prepares its shots once
+for every epoch.
 """
 
 from __future__ import annotations
@@ -105,21 +111,22 @@ def _sgd_epochs(
     epochs,
     trainable_w: np.ndarray | None = None,
     include_cls: bool = True,
-    fixed: FixedColumns | None = None,
 ) -> list[list[float]]:
     """The momentum-SGD loop of every session, updating bank.Z and
     weights.W in place.
 
-    epochs yields one sequence of batches per epoch; each batch takes one
-    step on the unfrozen blocks and the trainable_w rows (default: the
-    unfrozen ones).  Returns every epoch's batch losses in order.
+    epochs yields one sequence of (batch, fixed columns) pairs per epoch;
+    each batch takes one step on the unfrozen blocks and the trainable_w
+    rows (default: the unfrozen ones), with its maps prepared and its
+    fixed columns scored beforehand.  Returns every epoch's batch losses
+    in order.
     """
     tw = ~weights.frozen if trainable_w is None else trainable_w
     vW, vZ = np.zeros_like(weights.W), np.zeros_like(bank.Z)  # momentum buffers
     out = []
     for batches in epochs:
         out.append([])
-        for batch in batches:
+        for batch, fixed in batches:
             loss, grads = total_loss_and_grad(
                 batch, bank, weights, donor_map, hp, include_cls=include_cls, trainable_w=tw,
                 fixed=fixed,
@@ -130,10 +137,14 @@ def _sgd_epochs(
     return out
 
 
-def _shuffled_minibatches(batch: FeatureBatch, hp: Hyperparams, epoch: int) -> list[FeatureBatch]:
+def _shuffled_minibatches(batch: FeatureBatch, fixed: FixedColumns, hp: Hyperparams, epoch: int):
+    """One epoch's minibatches, each with its rows of the whole set's fixed
+    columns, made one at a time."""
     order = substream(hp.seed, "shuffle", 0, epoch).permutation(len(batch))
     step = hp.batch_size
-    return [batch.subset(order[lo : lo + step]) for lo in range(0, len(batch), step)]
+    for lo in range(0, len(batch), step):
+        idx = order[lo : lo + step]
+        yield batch.subset(idx), fixed.rows(idx)
 
 
 def train_base(train_batch: FeatureBatch, hp: Hyperparams) -> ModelState:
@@ -167,10 +178,15 @@ def train_base(train_batch: FeatureBatch, hp: Hyperparams) -> ModelState:
         np.zeros(len(class_ids), dtype=bool),
     )
     nsamples = len(train_batch)
-    epochs = (_shuffled_minibatches(train_batch, hp, epoch) for epoch in range(hp.base_epochs))
+    donor_map = donor_map_for(class_ids, class_ids)
+    # every column trains, so none is fixed: this prepares the maps once
+    fixed = fixed_columns(train_batch, bank, donor_map, hp)
+    epochs = (
+        _shuffled_minibatches(train_batch, fixed, hp, epoch) for epoch in range(hp.base_epochs)
+    )
     sizes = [min(hp.batch_size, nsamples - lo) for lo in range(0, nsamples, hp.batch_size)]
     history = []  # per epoch, sum(loss * n) / N accumulated in batch order
-    for losses in _sgd_epochs(bank, weights, donor_map_for(class_ids, class_ids), hp, epochs):
+    for losses in _sgd_epochs(bank, weights, donor_map, hp, epochs):
         epoch_loss = 0.0
         for loss, n in zip(losses, sizes):
             epoch_loss += loss * n
@@ -236,8 +252,8 @@ def train_incremental(state: ModelState, shots: FeatureBatch, hp: Hyperparams | 
     history = [
         loss
         for (loss,) in _sgd_epochs(
-            bank, weights, donor_map, hp, [[shots]] * hp.inc_epochs,
-            trainable_w=tw, include_cls=include_cls, fixed=fixed,
+            bank, weights, donor_map, hp, [[(shots, fixed)]] * hp.inc_epochs,
+            trainable_w=tw, include_cls=include_cls,
         )
     ]
 

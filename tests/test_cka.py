@@ -715,6 +715,21 @@ class TestPreparedMaps:
         want = prepare_maps(np.take_along_axis(x3, sel[:, :, None], axis=1), 0.8)
         assert got.Xc.tobytes() == want.Xc.tobytes() and got.a.tobytes() == want.a.tobytes()
 
+    @pytest.mark.parametrize("maps", [(1000, 16, 32), (48, 64, 512)])
+    def test_row_slices_equal_preparing_them(self, maps):
+        # a base fit slices its prepared training stack into minibatches:
+        # shuffled 64-row batches, the short last one, and a batch of one
+        rng = np.random.default_rng(64)
+        x3 = rng.standard_normal(maps)
+        prep = prepare_maps(x3, 0.8)
+        order = rng.permutation(maps[0])
+        batches = [order[lo : lo + 64] for lo in range(0, maps[0], 64)] + [order[-1:]]
+        assert len(batches[-2]) < 64
+        for idx in batches:
+            want = prepare_maps(x3[idx], 0.8)
+            assert prep.Xc[idx].tobytes() == want.Xc.tobytes()
+            assert prep.a[idx].tobytes() == want.a.tobytes()
+
     def test_importances_equal_the_transformed_stack(self):
         rng = np.random.default_rng(62)
         x3 = rng.standard_normal((6, 7, 9))

@@ -2,14 +2,20 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from compset import load_checkpoint, load_dataset, read_tensor, save_dataset, write_tensor
-from compset.cli import main
+from compset.cli import _blas_threads, main
 from compset.protocol import evaluate_sessions
+
+REPO = Path(__file__).resolve().parent.parent
 
 MICRO_CONFIG = {
     "synth": {
@@ -636,6 +642,24 @@ class TestProvenance:
         assert doc["versions"]["numpy"]
         assert "--data" in doc["argv"]
         assert doc["config"]["hyperparams"]["n_primitives"] == 6
+
+    def test_records_blas_and_its_thread_count(self, work, tmp_path):
+        want = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        doc = json.loads((work["ck0"] / "provenance.json").read_text())
+        blas = doc["versions"]["blas"]
+        assert (blas["name"], blas["version"]) == (want["name"], want["version"])
+        assert blas["threads"] == _blas_threads()
+        # a run pinned to one thread says so, where OpenBLAS can be asked
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(MICRO_CONFIG))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "compset", "gen", "--config", str(cfg), "--out", str(tmp_path / "d")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        pinned = json.loads((tmp_path / "d" / "provenance.json").read_text())["versions"]["blas"]
+        assert pinned["threads"] == (None if _blas_threads() is None else 1)
 
     def test_gen_records_synth_config(self, work):
         doc = json.loads((work["data"] / "provenance.json").read_text())

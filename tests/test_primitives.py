@@ -376,9 +376,11 @@ class TestSubnormalFlush:
 # per class, in a fresh interpreter whose BLAS thread count is fixed.
 THREAD_SCRIPT = """
 import hashlib, json
-from compset import Hyperparams, SynthConfig, losses, synth_generate
+import numpy as np
+from compset import Hyperparams, SynthConfig, losses, synth_generate, train_base
 from compset.protocol import run_sessions
 import util
+from test_primitives import _pools, kmeans_mismatches
 
 def digest(state):
     h = hashlib.sha256()
@@ -391,15 +393,37 @@ bad = {
     for name, case in util.replacement_cases().items()
     for stop in (False, True)
 }
+kmeans = kmeans_mismatches(_pools(np.random.default_rng(30)))
 ds = synth_generate(SynthConfig(seed=0))
 hp = Hyperparams(seed=0, base_epochs=1, inc_epochs=1)
+base = digest(train_base(ds.train[0], hp))
 stacked = digest(run_sessions(ds, hp))
 losses.build_replaced = util.build_replaced_per_class
 losses._replacement_backward = util.replacement_backward_per_class
 per_class = digest(run_sessions(ds, hp))
-print(json.dumps({"mismatches": {k: v for k, v in bad.items() if v}, "stacked": stacked,
-                  "per_class": per_class}))
+print(json.dumps({"mismatches": {k: v for k, v in bad.items() if v}, "kmeans": kmeans,
+                  "base": base, "stacked": stacked, "per_class": per_class}))
 """
+
+
+@pytest.fixture(scope="module")
+def thread_runs():
+    """THREAD_SCRIPT's result at each BLAS thread count, run once."""
+    runs = {}
+
+    def run(threads):
+        if threads not in runs:
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO / "tests")])
+            proc = subprocess.run(
+                [sys.executable, "-c", THREAD_SCRIPT], env=env, capture_output=True, text=True,
+                timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[threads] = json.loads(proc.stdout.splitlines()[-1])
+        return runs[threads]
+
+    return run
 
 
 class TestStackedReplacement:
@@ -463,17 +487,14 @@ class TestStackedReplacement:
             assert max(rows for rows, _, _ in chunks[:4]) <= 2
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_equal_at_each_blas_thread_count(self, threads):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO / "tests")])
-        proc = subprocess.run(
-            [sys.executable, "-c", THREAD_SCRIPT], env=env, capture_output=True, text=True,
-            timeout=600,
-        )
-        assert proc.returncode == 0, proc.stderr
-        got = json.loads(proc.stdout.splitlines()[-1])
+    def test_equal_at_each_blas_thread_count(self, threads, thread_runs):
+        # the GEMM-form bounds may round differently per thread count; the
+        # k-means picks, and so a base fit's bytes, may not
+        got = thread_runs(threads)
         assert got["mismatches"] == {}
+        assert got["kmeans"] == []
         assert got["stacked"] == got["per_class"]
+        assert got["base"] == thread_runs({"1": "2", "2": "1"}[threads])["base"]
 
 
 class TestHardNearestReplace:
@@ -548,9 +569,13 @@ class TestHardNearestReplace:
 
 
 def _pools(rng):
-    """Point pools that stress the exact search: random rows, duplicated
-    rows and exactly equidistant grid points, and a +1e6 common offset
-    under which the GEMM form cancels to a few bits."""
+    """Point pools that stress the exact searches: random rows, duplicated
+    rows and exactly equidistant grid points, a +1e6 common offset under
+    which the GEMM form cancels to a few bits, the pool shapes of the
+    benchmark's k-means inits, integer rows with duplicates and signed
+    zeros (ties in the sort and in seeding), fewer distinct rows than 16
+    (repeated seeds, empty clusters), and rows near 1e154 whose squared
+    norms overflow while their differences do not."""
     out = []
     for _ in range(6):
         out.append(rng.standard_normal((int(rng.integers(2, 120)), int(rng.integers(2, 40)))))
@@ -559,7 +584,28 @@ def _pools(rng):
     out.append(np.repeat(rng.standard_normal((5, 4)), 7, axis=0))
     out.append(rng.standard_normal((80, 16)) + 1e6)
     out.append(0.1 * grid + 1e6)  # near-ties the GEMM form rounds apart
+    out.append(np.abs(rng.standard_normal((800, 32))))  # pipeline-default: 50 maps x 16 patches
+    out.append(np.abs(rng.standard_normal((384, 512))))  # eval-wide: 6 maps x 64 patches
+    signed = rng.integers(-1, 2, (90, 4)).astype(float)
+    signed[(signed == 0.0) & (rng.random(signed.shape) < 0.5)] = -0.0
+    out.append(signed)
+    out.append(np.repeat(rng.integers(-1, 2, (3, 5)).astype(float), 6, axis=0))
+    out.append(1e154 * (1.0 + 1e-4 * rng.standard_normal((40, 6))))
     return out
+
+
+def kmeans_mismatches(pools) -> list:
+    """(pool, k, iters) of every k-means result that differs from the
+    brute-force oracle's in any byte; iters 0 compares the seeds alone."""
+    bad = []
+    for t, pts in enumerate(pools):
+        for k in sorted({1, 3, min(16, len(pts))}):
+            for iters in (0, 100):
+                got = kmeans_centers(pts, k, np.random.default_rng(t), iters)
+                want = kmeans_centers_oracle(pts, k, np.random.default_rng(t), iters)
+                if got.tobytes() != want.tobytes():
+                    bad.append((t, k, iters))
+    return bad
 
 
 class TestNearestSearchesMatchBruteForce:
@@ -568,11 +614,12 @@ class TestNearestSearchesMatchBruteForce:
 
     def test_kmeans_centers(self):
         rng = np.random.default_rng(30)
+        assert kmeans_mismatches(_pools(rng)) == []
+
+    def test_canonical_order_is_the_lexicographic_sort(self):
+        rng = np.random.default_rng(34)
         for t, pts in enumerate(_pools(rng)):
-            for k in sorted({1, 3, min(16, len(pts))}):
-                got = kmeans_centers(pts, k, np.random.default_rng(t))
-                want = kmeans_centers_oracle(pts, k, np.random.default_rng(t))
-                assert got.tobytes() == want.tobytes(), (t, k)
+            assert primitives._row_order(pts).tolist() == np.lexsort(pts.T[::-1]).tolist(), t
 
     def test_kmeans_one_row_pool(self):
         pts = np.array([[3.0, -1.0, 2.0]])

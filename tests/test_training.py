@@ -27,7 +27,7 @@ from compset.training import (
     donor_map_of,
     sgd_step,
 )
-from util import total_loss_and_grad_unsplit, train_incremental_oracle
+from util import total_loss_and_grad_unsplit, train_base_oracle, train_incremental_oracle
 
 TRAIN_CFG = SynthConfig(
     pool_size=20,
@@ -514,16 +514,29 @@ class TestCheckpoint:
             load_checkpoint(tmp_path)
 
 
-class TestOnePreparationPerStep:
-    """A base step prepares its minibatch once for both composition heads;
-    an incremental session prepares its shots once for every epoch."""
+class TestOnePreparationPerFit:
+    """A base fit prepares its whole training stack once, and every
+    minibatch of every epoch steps with its rows of it; an incremental
+    session prepares its shots once for every epoch."""
 
-    def test_base_steps(self, ds, transforms):
+    def test_base_fit(self, ds, transforms):
+        for epochs in (1, 3):
+            transforms.clear()
+            train_base(ds.train[0], replace(TRAIN_HP, base_epochs=epochs))
+            assert transforms == [ds.train[0].X.shape]
+
+    @pytest.mark.parametrize("channels", [16, 512])
+    def test_base_fit_equals_preparing_each_minibatch(self, channels):
+        # 11 samples per class in batches of 16: shuffled full batches and
+        # a short last one
+        cfg = replace(TRAIN_CFG, channels=channels, train_per_base_class=11)
+        batch = synth_generate(cfg).train[0]
         hp = replace(TRAIN_HP, base_epochs=3)
-        n = len(ds.train[0])
-        train_base(ds.train[0], hp)
-        sizes = [min(hp.batch_size, n - lo) for lo in range(0, n, hp.batch_size)]
-        assert [s[0] for s in transforms] == sizes * hp.base_epochs
+        state = train_base(batch, hp)
+        Z, W, history = train_base_oracle(batch, hp)
+        assert state.bank.Z.tobytes() == Z.tobytes()
+        assert state.weights.W.tobytes() == W.tobytes()
+        assert state.loss_history[0] == history
 
     def test_incremental_session(self, base_state, ds, transforms):
         train_incremental(base_state, ds.train[1])

@@ -36,6 +36,7 @@ from compset import (
     donor_map_for,
     extend_bank,
     hard_nearest_replace,
+    init_primitive_bank,
     sgd_step,
     total_loss_and_grad,
 )
@@ -477,6 +478,38 @@ def total_loss_and_grad_unsplit(
     dW[~tw] = 0.0
     dZ[~tz] = 0.0
     return total, Grads(dW=dW, dZ=dZ)
+
+
+def train_base_oracle(train_batch, hp):
+    """train_base's SGD loop with every minibatch prepared on its own: each
+    step's loss call power-transforms and centres its minibatch afresh.
+
+    Returns the fit's (bank Z, classifier W, per-epoch losses).
+    """
+    X3 = np.asarray(train_batch.X, dtype=np.float64)
+    labels = np.asarray(train_batch.labels, dtype=np.int64)
+    ids = sorted(int(c) for c in set(labels.tolist()))
+    patches = {c: X3[labels == c].reshape(-1, X3.shape[2]) for c in ids}
+    bank = init_primitive_bank(
+        ids, hp.n_primitives, X3.shape[2], scheme=hp.init_scheme, seed=hp.seed,
+        sigma=hp.init_sigma, patches_by_class=patches,
+    )
+    weights = ClassifierWeights(ids, _mean_feature_rows(X3, labels, ids), np.zeros(len(ids), dtype=bool))
+    donor_map = donor_map_for(ids, ids)
+    vW = np.zeros_like(weights.W)
+    vZ = np.zeros_like(bank.Z)
+    history = []
+    for epoch in range(hp.base_epochs):
+        order = substream(hp.seed, "shuffle", 0, epoch).permutation(len(train_batch))
+        total = 0.0
+        for lo in range(0, len(order), hp.batch_size):
+            batch = train_batch.subset(order[lo : lo + hp.batch_size])
+            loss, g = total_loss_and_grad(batch, bank, weights, donor_map, hp)
+            weights.W, vW = sgd_step(weights.W, g.dW, vW, hp.lr, hp.momentum)
+            bank.Z, vZ = sgd_step(bank.Z, g.dZ, vZ, hp.lr, hp.momentum)
+            total += loss * len(batch)
+        history.append(total / len(train_batch))
+    return bank.Z, weights.W, history
 
 
 def train_incremental_oracle(state, shots, hp, loss_and_grad=total_loss_and_grad):
